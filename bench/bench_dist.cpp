@@ -120,10 +120,10 @@ void report() {
   const BatchReport serial = serial_service.run(items);
   std::printf("serial:        %7.2fms (%.0f scenarios/s, %llu miss(es))\n",
               serial.wall_seconds * 1e3, n / serial.wall_seconds,
-              static_cast<unsigned long long>(serial.cache_misses));
+              static_cast<unsigned long long>(serial.counters.cache_misses));
   records().push_back({"serial", serial.wall_seconds * 1e3,
-                       n / serial.wall_seconds, 1.0, serial.cache_misses,
-                       0});
+                       n / serial.wall_seconds, 1.0,
+                       serial.counters.cache_misses, 0});
 
   for (const std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
     const std::string cache_dir =
@@ -138,12 +138,12 @@ void report() {
         "dist cold %zuw:  %7.2fms (%.0f scenarios/s, %llu miss(es), "
         "%.2fx vs serial)\n",
         workers, cold.wall_seconds * 1e3, n / cold.wall_seconds,
-        static_cast<unsigned long long>(cold.cache_misses),
+        static_cast<unsigned long long>(cold.counters.cache_misses),
         serial.wall_seconds / cold.wall_seconds);
     records().push_back({"dist_cold_" + std::to_string(workers) + "w",
                          cold.wall_seconds * 1e3, n / cold.wall_seconds,
                          serial.wall_seconds / cold.wall_seconds,
-                         cold.cache_misses, workers});
+                         cold.counters.cache_misses, workers});
 
     // Warm fleet: fresh worker processes, populated cache directory —
     // best of two to shield against scheduler noise.
@@ -156,19 +156,19 @@ void report() {
         "dist warm %zuw:  %7.2fms (%.0f scenarios/s, %llu miss(es), "
         "%.2fx vs serial, %.2fx vs cold)\n",
         workers, warm.wall_seconds * 1e3, n / warm.wall_seconds,
-        static_cast<unsigned long long>(warm.cache_misses),
+        static_cast<unsigned long long>(warm.counters.cache_misses),
         serial.wall_seconds / warm.wall_seconds,
         cold.wall_seconds / warm.wall_seconds);
-    if (warm.cache_misses != 0) {
+    if (warm.counters.cache_misses != 0) {
       std::printf(
           "  WARNING: warm fleet missed the persistent cache %llu "
           "time(s)\n",
-          static_cast<unsigned long long>(warm.cache_misses));
+          static_cast<unsigned long long>(warm.counters.cache_misses));
     }
     records().push_back({"dist_warm_" + std::to_string(workers) + "w",
                          warm.wall_seconds * 1e3, n / warm.wall_seconds,
                          serial.wall_seconds / warm.wall_seconds,
-                         warm.cache_misses, workers});
+                         warm.counters.cache_misses, workers});
 
     fs::remove_all(cache_dir);
   }
@@ -200,7 +200,7 @@ void report() {
                          degraded.wall_seconds * 1e3,
                          n / degraded.wall_seconds,
                          serial.wall_seconds / degraded.wall_seconds,
-                         degraded.cache_misses, 2});
+                         degraded.counters.cache_misses, 2});
   }
 
   write_bench_json();

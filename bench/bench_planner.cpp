@@ -94,9 +94,9 @@ void report() {
   const BatchReport cold = service.run(items);
   const double cold_s = cold.wall_seconds;
   const double cold_rate =
-      static_cast<double>(cold.cache_hits) /
-      std::max<double>(1.0, static_cast<double>(cold.cache_hits +
-                                                cold.cache_misses));
+      static_cast<double>(cold.counters.cache_hits) /
+      std::max<double>(1.0, static_cast<double>(cold.counters.cache_hits +
+                                                cold.counters.cache_misses));
   if (!cold.all_ok()) std::printf("  WARNING: cold batch had failures\n");
 
   // Warm: best of three identical batches against the now-hot cache.
@@ -107,9 +107,9 @@ void report() {
     warm_s = std::min(warm_s, warm.wall_seconds);
   }
   const double warm_rate =
-      static_cast<double>(warm.cache_hits) /
-      std::max<double>(1.0, static_cast<double>(warm.cache_hits +
-                                                warm.cache_misses));
+      static_cast<double>(warm.counters.cache_hits) /
+      std::max<double>(1.0, static_cast<double>(warm.counters.cache_hits +
+                                                warm.counters.cache_misses));
 
   const double n = static_cast<double>(items.size());
   std::printf(
@@ -119,9 +119,9 @@ void report() {
       "  warm-vs-cold speedup %.1fx (acceptance target >= 5x)\n",
       n, cold_s * 1e3, n / cold_s, cold_rate, warm_s * 1e3, n / warm_s,
       warm_rate, cold_s / warm_s);
-  if (warm.cache_misses != 0) {
+  if (warm.counters.cache_misses != 0) {
     std::printf("  WARNING: warm batch missed the cache %llu time(s)\n",
-                static_cast<unsigned long long>(warm.cache_misses));
+                static_cast<unsigned long long>(warm.counters.cache_misses));
   }
   records().push_back(
       {"batch_registry_cold", cold_s * 1e3, n / cold_s, 0.0, cold_rate});
@@ -143,11 +143,11 @@ void report() {
     records().push_back({"batch_registry_all_backends",
                          rep.wall_seconds * 1e3,
                          items_n / rep.wall_seconds, 0.0,
-                         static_cast<double>(rep.cache_hits) /
+                         static_cast<double>(rep.counters.cache_hits) /
                              std::max<double>(
                                  1.0, static_cast<double>(
-                                          rep.cache_hits +
-                                          rep.cache_misses))});
+                                          rep.counters.cache_hits +
+                                          rep.counters.cache_misses))});
   }
 
   write_bench_json();

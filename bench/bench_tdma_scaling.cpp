@@ -74,8 +74,8 @@ void report() {
               "speedup factor grows like n²/9.\ntiling cache over the "
               "size sweep: %llu hits, %llu misses (repeat searches are "
               "served from cache)\n",
-              static_cast<unsigned long long>(batch.cache_hits),
-              static_cast<unsigned long long>(batch.cache_misses));
+              static_cast<unsigned long long>(batch.counters.cache_hits),
+              static_cast<unsigned long long>(batch.counters.cache_misses));
 
   bench::section("Tiling slots track |N| only (radius sweep at 24x24)");
   ScenarioParams base;

@@ -187,28 +187,30 @@ void report() {
 
     TuneRecord cold_rec;
     cold_rec.name = "registry_sweep_cold";
-    cold_rec.searches = cold.tune_searches;
-    cold_rec.trials = cold.tune_trials_run;
+    cold_rec.searches = cold.counters.tune_searches;
+    cold_rec.trials = cold.counters.tune_trials_run;
     cold_rec.wall_ms = cold_ms;
     records().push_back(cold_rec);
     TuneRecord warm_rec;
     warm_rec.name = "registry_sweep_warm";
-    warm_rec.searches = warm.tune_searches;
-    warm_rec.trials = warm.tune_trials_run;
+    warm_rec.searches = warm.counters.tune_searches;
+    warm_rec.trials = warm.counters.tune_trials_run;
     warm_rec.wall_ms = warm_ms;
     records().push_back(warm_rec);
     std::printf(
         "cold: %.1fms, %llu search(es), %llu trial(s); warm: %.1fms, "
         "%llu search(es), %llu miss(es) -> %.1fx\n",
-        cold_ms, static_cast<unsigned long long>(cold.tune_searches),
-        static_cast<unsigned long long>(cold.tune_trials_run), warm_ms,
-        static_cast<unsigned long long>(warm.tune_searches),
-        static_cast<unsigned long long>(warm.tune_misses),
+        cold_ms, static_cast<unsigned long long>(cold.counters.tune_searches),
+        static_cast<unsigned long long>(cold.counters.tune_trials_run), warm_ms,
+        static_cast<unsigned long long>(warm.counters.tune_searches),
+        static_cast<unsigned long long>(warm.counters.tune_misses),
         warm_ms > 0.0 ? cold_ms / warm_ms : 0.0);
 
     if (!cold.all_ok() || !warm.all_ok()) fail("auto sweep produced failures");
-    if (cold.tune_searches == 0) fail("cold sweep ran no tuning searches");
-    if (warm.tune_misses != 0 || warm.tune_searches != 0) {
+    if (cold.counters.tune_searches == 0) {
+      fail("cold sweep ran no tuning searches");
+    }
+    if (warm.counters.tune_misses != 0 || warm.counters.tune_searches != 0) {
       fail("warm sweep missed the tune cache");
     }
   }

@@ -1,10 +1,8 @@
 #include "core/plan_service.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <stdexcept>
 
-#include "core/plan_session.hpp"
 #include "util/parallel.hpp"
 
 namespace latticesched {
@@ -33,6 +31,33 @@ bool BatchReport::all_ok() const {
   return true;
 }
 
+SessionConfig session_config(const BatchItem& item,
+                             const ScenarioInstance& instance,
+                             TilingCache* tiling_cache,
+                             tune::TuneCache* tune_cache,
+                             const PlannerRegistry* planners) {
+  SessionConfig config;
+  config.backends = item.backends;
+  config.search = item.search;
+  config.sa = item.sa;
+  config.verify = item.verify;
+  config.regions = item.regions;
+  config.region_halo = item.region_halo;
+  config.channels = instance.channels;
+  if (instance.lattice.has_value()) config.lattice = &*instance.lattice;
+  if (instance.tiling.has_value()) config.tiling = &*instance.tiling;
+  config.tiling_cache = tiling_cache;
+  config.planners = planners;
+  config.tune_cache = tune_cache;
+  config.tune_trials = item.tune_trials;
+  config.tune_budget_ms = item.tune_budget_ms;
+  // Families bucket by scenario name, so a sweep's items of the same
+  // family share tuned configs (and the distributed shards of one sweep
+  // agree on them).
+  config.tune_family = item.query.scenario;
+  return config;
+}
+
 PlanService::PlanService(const PlannerRegistry* planners,
                          const ScenarioRegistry* scenarios)
     : planners_(planners != nullptr ? planners : &PlannerRegistry::global()),
@@ -51,18 +76,14 @@ BatchReport PlanService::run(const std::vector<BatchItem>& items) {
     }
   }
 
-  const TilingCache::Stats before = cache_.stats();
-  const tune::TuneCache::Stats tune_before = tune_cache_.stats();
+  const CacheStats before = cache_stats(cache_, tune_cache_);
   const auto t0 = std::chrono::steady_clock::now();
 
   BatchReport report;
   report.items.resize(items.size());
-  // Region-shard counters accumulate across the item fan-out: `regions`
-  // is a running max (largest partition any session planned), the rest
-  // are sums.
-  std::atomic<std::uint64_t> regions_max{0};
-  std::atomic<std::uint64_t> seam_total{0};
-  std::atomic<std::uint64_t> recolor_total{0};
+  // Each item's session counters, merged in request order after the
+  // fan-out.
+  std::vector<Counters> shares(items.size());
   // Item fan-out; each item's own plan_all fan-out degrades to serial
   // inside this region (the pool never nests), so the parallelism grain
   // is one scenario per worker.
@@ -87,25 +108,8 @@ BatchReport PlanService::run(const std::vector<BatchItem>& items) {
       // Every item — static or dynamic — runs through one PlanSession;
       // a static item is simply a zero-delta session, so the two paths
       // cannot drift apart.
-      SessionConfig config;
-      config.backends = item.backends;
-      config.search = item.search;
-      config.sa = item.sa;
-      config.verify = item.verify;
-      config.regions = item.regions;
-      config.region_halo = item.region_halo;
-      config.channels = instance.channels;
-      if (instance.lattice.has_value()) config.lattice = &*instance.lattice;
-      if (instance.tiling.has_value()) config.tiling = &*instance.tiling;
-      config.tiling_cache = &cache_;
-      config.planners = planners_;
-      config.tune_cache = &tune_cache_;
-      config.tune_trials = item.tune_trials;
-      config.tune_budget_ms = item.tune_budget_ms;
-      // Families bucket by scenario name, so a sweep's items of the
-      // same family share tuned configs (and the distributed shards of
-      // one sweep agree on them).
-      config.tune_family = item.query.scenario;
+      const SessionConfig config =
+          session_config(item, instance, &cache_, &tune_cache_, planners_);
       PlanSession session(std::move(instance.deployment), config);
       if (trace.empty()) {
         out.results = session.replan();
@@ -121,14 +125,7 @@ BatchReport PlanService::run(const std::vector<BatchItem>& items) {
         }
         out.results = out.steps.back().results;
       }
-      const PlanSession::Stats& st = session.stats();
-      std::uint64_t seen = regions_max.load(std::memory_order_relaxed);
-      while (st.regions > seen &&
-             !regions_max.compare_exchange_weak(seen, st.regions,
-                                                std::memory_order_relaxed)) {
-      }
-      seam_total.fetch_add(st.seam_sensors, std::memory_order_relaxed);
-      recolor_total.fetch_add(st.stitch_recolored, std::memory_order_relaxed);
+      shares[i] = counters_from_session(session.stats());
     } catch (const std::exception& e) {
       out.built = false;
       out.error = e.what();
@@ -140,21 +137,9 @@ BatchReport PlanService::run(const std::vector<BatchItem>& items) {
   report.wall_seconds = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
-  const TilingCache::Stats after = cache_.stats();
-  report.cache_hits = after.hits - before.hits;
-  report.cache_misses = after.misses - before.misses;
-  report.search_subtree_tasks =
-      after.search_subtree_tasks - before.search_subtree_tasks;
-  report.search_steals = after.search_steals - before.search_steals;
-  report.search_kernel = after.search_kernel;
-  report.regions = regions_max.load(std::memory_order_relaxed);
-  report.seam_sensors = seam_total.load(std::memory_order_relaxed);
-  report.stitch_recolored = recolor_total.load(std::memory_order_relaxed);
-  const tune::TuneCache::Stats tune_after = tune_cache_.stats();
-  report.tune_hits = tune_after.hits - tune_before.hits;
-  report.tune_misses = tune_after.misses - tune_before.misses;
-  report.tune_searches = tune_after.searches - tune_before.searches;
-  report.tune_trials_run = tune_after.trials - tune_before.trials;
+  report.counters =
+      counters_between(before, cache_stats(cache_, tune_cache_));
+  for (const Counters& share : shares) report.counters.merge(share);
   return report;
 }
 

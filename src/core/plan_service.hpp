@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "core/counters.hpp"
+#include "core/plan_session.hpp"
 #include "core/planner.hpp"
 #include "core/scenario.hpp"
 #include "core/tiling_cache.hpp"
@@ -55,6 +57,16 @@ struct BatchItem {
   std::uint64_t tune_budget_ms = 0;
 };
 
+/// The SessionConfig `item` plans with: the item's knobs, the built
+/// instance's channels and geometry (borrowed, so `instance` must outlive
+/// the session), and the shared caches and registry.  PlanService::run
+/// and the planning server open every item session through it.
+SessionConfig session_config(const BatchItem& item,
+                             const ScenarioInstance& instance,
+                             TilingCache* tiling_cache,
+                             tune::TuneCache* tune_cache,
+                             const PlannerRegistry* planners);
+
 /// Results of one step of a dynamic item.
 struct BatchStepReport {
   std::uint64_t step = 0;   ///< 0 = initial deployment, else the trace `at`
@@ -83,32 +95,8 @@ struct BatchItemReport {
 
 struct BatchReport {
   std::vector<BatchItemReport> items;  ///< in request order
-  std::uint64_t cache_hits = 0;        ///< TilingCache hits of THIS run
-  std::uint64_t cache_misses = 0;      ///< TilingCache misses of THIS run
-  /// Work-stealing torus-search counters of THIS run (see
-  /// TorusSearchStats): subtree tasks the parallel dense engine
-  /// executed, and how many of them were stolen across workers.  Both 0
-  /// when every search was a cache hit or ran serially.
-  std::uint64_t search_subtree_tasks = 0;
-  std::uint64_t search_steals = 0;
-  /// Mask-kernel implementation the searches dispatched to ("scalar" /
-  /// "avx2"; empty when no search ran this batch).
-  std::string search_kernel;
-  /// Tuning counters of THIS run (TuneCache::Stats deltas): auto-backend
-  /// cache hits/misses, bounded tuning searches run on misses, and
-  /// candidate configs measured by those searches.  All 0 when no item
-  /// planned with the `auto` backend.
-  std::uint64_t tune_hits = 0;
-  std::uint64_t tune_misses = 0;
-  std::uint64_t tune_searches = 0;
-  std::uint64_t tune_trials_run = 0;
-  /// Region-shard counters of THIS run: `regions` is the largest region
-  /// partition any item planned with; the other two sum over every
-  /// item's stitch passes (SessionStats).  All 0 when no item ran the
-  /// region-sharded backend.
-  std::uint64_t regions = 0;
-  std::uint64_t seam_sensors = 0;
-  std::uint64_t stitch_recolored = 0;
+  /// Cache, search, region and tuning counters of THIS run.
+  Counters counters;
   /// Worker processes that died (or exited nonzero) during a distributed
   /// run (src/dist); their shards were reassigned, so a nonzero count
   /// with all_ok() means the sweep survived the failures.  Always 0 for

@@ -2,62 +2,15 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
 #include "util/cli.hpp"
+#include "util/json.hpp"
 
 namespace latticesched {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_unescape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\' || i + 1 >= s.size()) {
-      out += s[i];
-      continue;
-    }
-    ++i;
-    switch (s[i]) {
-      case 'n': out += '\n'; break;
-      case 't': out += '\t'; break;
-      case 'u':
-        if (i + 4 < s.size()) {
-          out += static_cast<char>(
-              std::strtol(s.substr(i + 1, 4).c_str(), nullptr, 16));
-          i += 4;
-        }
-        break;
-      default: out += s[i];
-    }
-  }
-  return out;
-}
 
 std::string format_double(double v) {
   char buf[32];
@@ -137,38 +90,13 @@ std::vector<std::string> split_line(const std::string& line) {
   return out;
 }
 
-/// Extracts the JSON value (raw text) following `"key": ` in `obj`.
-std::string json_field(const std::string& obj, const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const std::size_t at = obj.find(needle);
-  if (at == std::string::npos) {
-    throw std::invalid_argument("plan-results JSON: missing key '" + key +
-                                "'");
-  }
-  std::size_t pos = at + needle.size();
-  if (obj[pos] == '"') {
-    // String value: scan to the closing quote, stepping over escape
-    // pairs so a value ending in an (escaped) backslash terminates
-    // correctly.
-    std::size_t end = pos + 1;
-    while (end < obj.size() && obj[end] != '"') {
-      end += obj[end] == '\\' ? 2 : 1;
-    }
-    if (end > obj.size()) end = obj.size();
-    return json_unescape(obj.substr(pos + 1, end - pos - 1));
-  }
-  std::size_t end = pos;
-  while (end < obj.size() && obj[end] != ',' && obj[end] != '}') ++end;
-  return obj.substr(pos, end - pos);
-}
-
 PlanResultRow row_from_json_object(const std::string& obj) {
   PlanResultRow row;
   row.scenario = json_field(obj, "scenario");
-  row.step = std::stoull(json_field(obj, "step"));
+  row.step = json_u64(obj, "step");
   row.backend = json_field(obj, "backend");
   row.ok = json_field(obj, "ok") == "true";
-  row.sensors = std::stoull(json_field(obj, "sensors"));
+  row.sensors = json_u64(obj, "sensors");
   row.period = static_cast<std::uint32_t>(
       std::stoul(json_field(obj, "period")));
   row.lower_bound = static_cast<std::uint32_t>(
@@ -354,18 +282,7 @@ std::string batch_report_to_json(const BatchReport& report) {
     os << "    ]}" << (i + 1 < report.items.size() ? "," : "") << '\n';
   }
   os << "  ],\n";
-  os << "  \"cache\": {\"hits\": " << report.cache_hits
-     << ", \"misses\": " << report.cache_misses << "},\n";
-  os << "  \"search\": {\"subtree_tasks\": " << report.search_subtree_tasks
-     << ", \"steals\": " << report.search_steals << ", \"kernel\": \""
-     << json_escape(report.search_kernel) << "\"},\n";
-  os << "  \"regions\": {\"count\": " << report.regions
-     << ", \"seam_sensors\": " << report.seam_sensors
-     << ", \"stitch_recolored\": " << report.stitch_recolored << "},\n";
-  os << "  \"tuning\": {\"hits\": " << report.tune_hits
-     << ", \"misses\": " << report.tune_misses
-     << ", \"searches\": " << report.tune_searches
-     << ", \"trials\": " << report.tune_trials_run << "},\n";
+  os << counters_to_json(report.counters);
   os << "  \"worker_failures\": " << report.worker_failures << ",\n";
   os << "  \"worker_timeouts\": " << report.worker_timeouts << ",\n";
   os << "  \"degraded\": " << (report.degraded ? "true" : "false") << ",\n";
@@ -415,7 +332,6 @@ BatchReport parse_batch_report_json(const std::string& json) {
   BatchReport report;
   std::istringstream is(json);
   std::string line;
-  bool saw_cache = false;
   bool saw_wall = false;
   std::size_t declared_steps = 0;  // of the item currently being parsed
   while (std::getline(is, line)) {
@@ -423,10 +339,10 @@ BatchReport parse_batch_report_json(const std::string& json) {
       BatchItemReport item;
       item.scenario = json_field(line, "scenario");
       item.label = json_field(line, "label");
-      item.sensors = std::stoull(json_field(line, "sensors"));
+      item.sensors = json_u64(line, "sensors");
       item.channels = static_cast<std::uint32_t>(
           std::stoul(json_field(line, "channels")));
-      declared_steps = std::stoull(json_field(line, "steps"));
+      declared_steps = json_u64(line, "steps");
       item.built = json_field(line, "built") == "true";
       item.error = json_field(line, "error");
       report.items.push_back(std::move(item));
@@ -452,34 +368,10 @@ BatchReport parse_batch_report_json(const std::string& json) {
       } else {
         item.results.push_back(result_from_row(row));
       }
-    } else if (line.find("\"cache\": ") != std::string::npos) {
-      report.cache_hits = std::stoull(json_field(line, "hits"));
-      report.cache_misses = std::stoull(json_field(line, "misses"));
-      saw_cache = true;
-    } else if (line.find("\"search\": ") != std::string::npos) {
-      // Optional (absent in pre-v4 payloads): work-stealing counters.
-      report.search_subtree_tasks =
-          std::stoull(json_field(line, "subtree_tasks"));
-      report.search_steals = std::stoull(json_field(line, "steals"));
-      report.search_kernel = json_field(line, "kernel");
-    } else if (line.find("\"regions\": {") != std::string::npos) {
-      // Optional (absent in pre-v5 payloads): region-shard counters.
-      report.regions = std::stoull(json_field(line, "count"));
-      report.seam_sensors = std::stoull(json_field(line, "seam_sensors"));
-      report.stitch_recolored =
-          std::stoull(json_field(line, "stitch_recolored"));
-    } else if (line.find("\"tuning\": {") != std::string::npos) {
-      // Optional (absent in pre-v7 payloads): auto-tuner counters.
-      report.tune_hits = std::stoull(json_field(line, "hits"));
-      report.tune_misses = std::stoull(json_field(line, "misses"));
-      report.tune_searches = std::stoull(json_field(line, "searches"));
-      report.tune_trials_run = std::stoull(json_field(line, "trials"));
     } else if (line.find("\"worker_failures\": ") != std::string::npos) {
-      report.worker_failures =
-          std::stoull(json_field(line, "worker_failures"));
+      report.worker_failures = json_u64(line, "worker_failures");
     } else if (line.find("\"worker_timeouts\": ") != std::string::npos) {
-      report.worker_timeouts =
-          std::stoull(json_field(line, "worker_timeouts"));
+      report.worker_timeouts = json_u64(line, "worker_timeouts");
     } else if (line.find("\"degraded\": ") != std::string::npos) {
       report.degraded = json_field(line, "degraded") == "true";
     } else if (line.find("\"quarantined_items\": ") != std::string::npos) {
@@ -501,9 +393,8 @@ BatchReport parse_batch_report_json(const std::string& json) {
       saw_wall = true;
     }
   }
-  if (!saw_cache || !saw_wall) {
-    throw std::invalid_argument("batch JSON: missing cache/wall_ms footer");
-  }
+  if (!saw_wall) throw std::invalid_argument("batch JSON: missing wall_ms");
+  report.counters = parse_counters_json(json);
   // Dynamic items mirror the live shape: results == the final step's.
   for (BatchItemReport& item : report.items) {
     if (!item.steps.empty()) item.results = item.steps.back().results;
@@ -565,7 +456,7 @@ std::vector<BatchItem> parse_batch_items_json(const std::string& json) {
     item.query.scenario = json_field(line, "scenario");
     item.query.params.n = std::stoll(json_field(line, "n"));
     item.query.params.radius = std::stoll(json_field(line, "radius"));
-    item.query.params.seed = std::stoull(json_field(line, "seed"));
+    item.query.params.seed = json_u64(line, "seed");
     item.query.params.channels = static_cast<std::uint32_t>(
         std::stoul(json_field(line, "channels")));
     item.query.params.density = std::stod(json_field(line, "density"));
@@ -573,27 +464,26 @@ std::vector<BatchItem> parse_batch_items_json(const std::string& json) {
     item.trace_script = json_field(line, "trace_script");
     item.backends = split_csv_list(json_field(line, "backends"));
     item.verify = json_field(line, "verify") == "true";
-    item.regions = std::stoull(json_field(line, "regions"));
+    item.regions = json_u64(line, "regions");
     item.region_halo = std::stoll(json_field(line, "region_halo"));
     item.search.max_period_cells =
         std::stoll(json_field(line, "max_period_cells"));
-    item.search.node_limit = std::stoull(json_field(line, "node_limit"));
+    item.search.node_limit = json_u64(line, "node_limit");
     item.search.require_all_prototiles =
         json_field(line, "require_all_prototiles") == "true";
     item.search.use_dense_engine =
         json_field(line, "use_dense_engine") == "true";
     item.search.use_parallel = json_field(line, "use_parallel") == "true";
-    item.sa.max_iters = std::stoull(json_field(line, "sa_max_iters"));
+    item.sa.max_iters = json_u64(line, "sa_max_iters");
     item.sa.initial_temperature =
         std::stod(json_field(line, "sa_initial_temperature"));
     item.sa.cooling = std::stod(json_field(line, "sa_cooling"));
-    item.sa.seed = std::stoull(json_field(line, "sa_seed"));
-    item.sa.restarts = std::stoull(json_field(line, "sa_restarts"));
+    item.sa.seed = json_u64(line, "sa_seed");
+    item.sa.restarts = json_u64(line, "sa_restarts");
     // Optional (absent in pre-v7 payloads): auto-backend tuning budgets.
     if (line.find("\"tune_trials\": ") != std::string::npos) {
-      item.tune_trials = std::stoull(json_field(line, "tune_trials"));
-      item.tune_budget_ms =
-          std::stoull(json_field(line, "tune_budget_ms"));
+      item.tune_trials = json_u64(line, "tune_trials");
+      item.tune_budget_ms = json_u64(line, "tune_budget_ms");
     }
     items.push_back(std::move(item));
   }

@@ -73,7 +73,8 @@ std::vector<PlanResultRow> parse_plan_results_json(const std::string& json);
 /// Batch reports: CSV is the per-result rows of every item (labelled by
 /// the item's scenario label) — cache counters don't fit a row stream
 /// and are surfaced by the JSON form and the driver's footer.  JSON is
-/// one object: {"items": [...], "cache": {...}, "worker_failures": ...,
+/// one object: {"items": [...], the counters_to_json groups ("cache",
+/// "search", "regions", "tuning"), "worker_failures": ...,
 /// "worker_timeouts": ..., "degraded": ..., "quarantined_items": [...],
 /// "wall_ms": ...}.  Dynamic items emit one row per (step, backend)
 /// with the row's `step` column set and `"steps": <count>` in the item

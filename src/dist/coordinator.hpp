@@ -6,7 +6,7 @@
 // `latticesched --worker` child processes connected by socketpairs,
 // streams each worker its shard over the wire protocol (dist/wire.hpp),
 // and merges the returned BatchReports — items restored to request
-// order, cache counters summed across workers — into one report
+// order, batch counters merged across workers — into one report
 // indistinguishable from a single-process PlanService::run (pinned
 // byte-for-byte, modulo wall times and failure counters, by
 // tests/test_dist.cpp).
@@ -111,20 +111,8 @@ struct CoordinatorConfig {
 /// latest generation's.
 struct WorkerCacheStats {
   pid_t pid = -1;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  /// Work-stealing torus-search counters of this worker's searches
-  /// (BatchReport::search_subtree_tasks / search_steals, summed over its
-  /// shards).
-  std::uint64_t search_subtree_tasks = 0;
-  std::uint64_t search_steals = 0;
-  /// Auto-backend tuning counters of this worker's shards
-  /// (BatchReport::{tune_hits, tune_misses, tune_searches,
-  /// tune_trials_run}, summed).
-  std::uint64_t tune_hits = 0;
-  std::uint64_t tune_misses = 0;
-  std::uint64_t tune_searches = 0;
-  std::uint64_t tune_trials = 0;
+  /// The batch counters of this worker's shards, merged.
+  Counters counters;
   std::size_t shards_completed = 0;
   bool failed = false;     ///< some generation crashed or exited nonzero
   bool timed_out = false;  ///< some generation was killed for a missed deadline

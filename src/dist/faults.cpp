@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <thread>
 
+#include "util/cli.hpp"
+
 namespace latticesched::dist {
 
 namespace {
@@ -31,21 +33,9 @@ std::string value_of(const std::string& token, const std::string& key) {
   return token.substr(prefix.size());
 }
 
-std::uint64_t parse_u64(const std::string& text, const std::string& what) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long v = std::stoull(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-    return static_cast<std::uint64_t>(v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("fault-plan: bad " + what + " '" + text +
-                                "'");
-  }
-}
-
 int parse_worker_target(const std::string& text) {
   if (text == "*") return -1;
-  const std::uint64_t v = parse_u64(text, "worker index");
+  const std::uint64_t v = parse_u64(text, "fault-plan worker index");
   if (v > 4096) {
     throw std::invalid_argument("fault-plan: worker index out of range '" +
                                 text + "'");
@@ -68,7 +58,8 @@ FaultAction parse_action(const std::string& text) {
       action.kind = FaultKind::kDropConnection;
     } else if (kind.rfind("delay-accept-ms=", 0) == 0) {
       action.kind = FaultKind::kDelayAcceptMs;
-      action.ms = parse_u64(kind.substr(16), "delay-accept-ms");
+      action.ms =
+          parse_u64(kind.substr(16), "fault-plan delay-accept-ms");
     } else {
       throw std::invalid_argument("fault-plan: serve target only supports "
                                   "drop-connection / delay-accept-ms, got '" +
@@ -77,10 +68,11 @@ FaultAction parse_action(const std::string& text) {
     for (next = 2; next < fields.size(); ++next) {
       const std::string& param = fields[next];
       if (param.rfind("after-frames=", 0) == 0) {
-        action.after_frames = parse_u64(param.substr(13), "after-frames");
+        action.after_frames =
+            parse_u64(param.substr(13), "fault-plan after-frames");
       } else if (param.rfind("gens=", 0) == 0) {
         const std::string v = param.substr(5);
-        action.gens = v == "all" ? 0 : parse_u64(v, "gens");
+        action.gens = v == "all" ? 0 : parse_u64(v, "fault-plan gens");
       } else {
         throw std::invalid_argument("fault-plan: unknown param '" + param +
                                     "'");
@@ -107,10 +99,10 @@ FaultAction parse_action(const std::string& text) {
       action.kind = FaultKind::kTruncateFrame;
     } else if (kind.rfind("hang-ms=", 0) == 0) {
       action.kind = FaultKind::kHangMs;
-      action.ms = parse_u64(kind.substr(8), "hang-ms");
+      action.ms = parse_u64(kind.substr(8), "fault-plan hang-ms");
     } else if (kind.rfind("delay-io-ms=", 0) == 0) {
       action.kind = FaultKind::kDelayIoMs;
-      action.ms = parse_u64(kind.substr(12), "delay-io-ms");
+      action.ms = parse_u64(kind.substr(12), "fault-plan delay-io-ms");
     } else {
       throw std::invalid_argument("fault-plan: unknown kind '" + kind +
                                   "'");
@@ -120,16 +112,17 @@ FaultAction parse_action(const std::string& text) {
   for (; next < fields.size(); ++next) {
     const std::string& param = fields[next];
     if (param.rfind("after-frames=", 0) == 0) {
-      action.after_frames = parse_u64(param.substr(13), "after-frames");
+      action.after_frames =
+          parse_u64(param.substr(13), "fault-plan after-frames");
     } else if (param.rfind("gens=", 0) == 0) {
       const std::string v = param.substr(5);
-      action.gens = v == "all" ? 0 : parse_u64(v, "gens");
+      action.gens = v == "all" ? 0 : parse_u64(v, "fault-plan gens");
     } else if (param.rfind("nth=", 0) == 0) {
       if (action.kind != FaultKind::kCorruptCacheWrite) {
         throw std::invalid_argument(
             "fault-plan: nth= only applies to corrupt-write");
       }
-      action.nth = parse_u64(param.substr(4), "nth");
+      action.nth = parse_u64(param.substr(4), "fault-plan nth");
       if (action.nth == 0) {
         throw std::invalid_argument("fault-plan: nth is 1-based");
       }
@@ -172,7 +165,7 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
   FaultPlan plan;
   for (const std::string& token : split(spec, ';')) {
     if (token.rfind("seed=", 0) == 0) {
-      plan.seed = parse_u64(token.substr(5), "seed");
+      plan.seed = parse_u64(token.substr(5), "fault-plan seed");
       continue;
     }
     plan.actions.push_back(parse_action(token));

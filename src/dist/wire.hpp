@@ -48,7 +48,11 @@ namespace latticesched::dist {
 /// columns and batch reports the "tuning" footer line (tune-cache
 /// hit/miss/search/trial counters) — a v6 coordinator would silently
 /// drop a v7 worker's tuning counters from the merged report.
-inline constexpr int kProtocolVersion = 7;
+/// v8: the CLOSE body moved to the batch-report footer's form — the
+/// counters_to_json groups ("cache", "search", "regions", "tuning")
+/// plus a "session" object — so a session now reports its tuning
+/// counters; a v7 client cannot parse a v8 CLOSE body.
+inline constexpr int kProtocolVersion = 8;
 
 /// Frames larger than this are a protocol error, not an allocation —
 /// guards the reader against garbage length prefixes.

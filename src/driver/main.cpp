@@ -38,13 +38,14 @@
 // --worker is the internal worker-process entry point.
 //
 // --serve runs the TCP planning server (src/serve): long-lived sessions
-// over wire-protocol v6, many clients multiplexed over one shared pool
-// and TilingCache, stopped gracefully by SIGTERM/SIGINT.  --listen is
-// the same listener worn as a remote worker (its ASSIGN verb serves
-// coordinator-style batches).  --connect host:port points this driver
-// at such a server: every scenario/backend/steps flag works unchanged,
-// the batch runs through server sessions, and --cache-stats reports the
-// per-session counters the server sent back.
+// over the wire protocol (dist/wire.hpp, v8), many clients multiplexed
+// over one shared pool and TilingCache, stopped gracefully by
+// SIGTERM/SIGINT.  --listen is the same listener worn as a remote
+// worker (its ASSIGN verb serves coordinator-style batches).
+// --connect host:port points this driver at such a server: every
+// scenario/backend/steps flag works unchanged, the batch runs through
+// server sessions, and --cache-stats reports the per-session counters
+// the server sent back.
 #include <csignal>
 #include <cstdio>
 #include <cerrno>
@@ -284,8 +285,8 @@ int run(int argc, char** argv) {
                    "size-capped LRU sweep of --cache-dir after the run "
                    "(0 = unbounded)");
   cli.add_flag("cache-stats", "false",
-               "print the cache counter footer, per worker when "
-               "distributed");
+               "print the batch counter footer, also per worker "
+               "(--workers) or per session (--connect)");
   cli.add_flag("worker", "false",
                "internal: run as a distributed worker process over "
                "--worker-fd");
@@ -595,138 +596,57 @@ int run(int argc, char** argv) {
     return 2;
   }
 
-  // --cache-stats: per-worker counter breakdown when distributed, the
-  // service cache (including disk warm-start hits) when in-process.
+  // --cache-stats: the batch counters through one printer, after each
+  // mode's own facts — per-session replans (remote), per-worker fleet
+  // state and counters (distributed), or the in-process caches' disk
+  // hits and sizes.
   const auto print_cache_stats = [&](std::FILE* out) {
-    // Tune-cache footer shared by all three modes; silent when the batch
-    // never touched the auto backend.
-    const auto print_tune_totals = [&](std::FILE* o) {
-      if (report.tune_hits + report.tune_misses + report.tune_searches +
-              report.tune_trials_run ==
-          0) {
-        return;
-      }
-      std::fprintf(o,
-                   "tune-stats: %llu hit(s), %llu miss(es), %llu "
-                   "search(es), %llu trial(s)\n",
-                   static_cast<unsigned long long>(report.tune_hits),
-                   static_cast<unsigned long long>(report.tune_misses),
-                   static_cast<unsigned long long>(report.tune_searches),
-                   static_cast<unsigned long long>(report.tune_trials_run));
-    };
     if (client.has_value()) {
-      // Remote run: per-session counters the server attributed to each
-      // session over v6 frames, then the batch totals.
       for (const auto& [label, s] : client->session_stats()) {
+        const std::string scope = "session " + label;
         std::fprintf(
             out,
-            "cache-stats: session %s: %llu hit(s), %llu miss(es), %llu "
-            "replan(s), %llu delta(s), %llu region(s) replanned\n",
-            label.c_str(), static_cast<unsigned long long>(s.cache_hits),
-            static_cast<unsigned long long>(s.cache_misses),
-            static_cast<unsigned long long>(s.replans),
-            static_cast<unsigned long long>(s.deltas),
-            static_cast<unsigned long long>(s.regions_replanned));
+            "cache-stats: %s: %llu replan(s), %llu delta(s), %llu "
+            "region(s) replanned\n",
+            scope.c_str(), static_cast<unsigned long long>(s.session.replans),
+            static_cast<unsigned long long>(s.session.deltas),
+            static_cast<unsigned long long>(s.session.regions_replanned));
+        std::fputs(counters_to_text(s.counters, scope).c_str(), out);
       }
-      std::fprintf(out,
-                   "cache-stats: total: %llu hit(s), %llu miss(es) "
-                   "(server %s)\n",
-                   static_cast<unsigned long long>(report.cache_hits),
-                   static_cast<unsigned long long>(report.cache_misses),
-                   connect_spec.c_str());
-      if (!report.search_kernel.empty()) {
-        std::fprintf(
-            out,
-            "search-stats: %llu subtree task(s), %llu steal(s), "
-            "kernel=%s\n",
-            static_cast<unsigned long long>(report.search_subtree_tasks),
-            static_cast<unsigned long long>(report.search_steals),
-            report.search_kernel.c_str());
-      }
-      print_tune_totals(out);
+      std::fprintf(out, "cache-stats: server %s: %zu session(s)\n",
+                   connect_spec.c_str(), client->session_stats().size());
     } else if (coordinator.has_value()) {
       for (std::size_t w = 0; w < coordinator->worker_stats().size(); ++w) {
         const dist::WorkerCacheStats& s = coordinator->worker_stats()[w];
+        const std::string scope = "worker " + std::to_string(w);
         std::string notes;
-        if (s.tune_hits + s.tune_misses + s.tune_searches + s.tune_trials >
-            0) {
-          notes += ", " + std::to_string(s.tune_hits) + " tune hit(s), " +
-                   std::to_string(s.tune_searches) + " tune search(es)";
-        }
         if (s.respawns > 0) {
           notes += ", " + std::to_string(s.respawns) + " respawn(s)";
         }
         if (s.failed) notes += " [FAILED]";
         if (s.timed_out) notes += " [TIMED OUT]";
-        std::fprintf(
-            out,
-            "cache-stats: worker %zu (pid %lld): %llu hit(s), %llu "
-            "miss(es), %zu shard(s), %llu subtree task(s), %llu "
-            "steal(s)%s\n",
-            w, static_cast<long long>(s.pid),
-            static_cast<unsigned long long>(s.cache_hits),
-            static_cast<unsigned long long>(s.cache_misses),
-            s.shards_completed,
-            static_cast<unsigned long long>(s.search_subtree_tasks),
-            static_cast<unsigned long long>(s.search_steals),
-            notes.c_str());
+        std::fprintf(out, "cache-stats: %s (pid %lld): %zu shard(s)%s\n",
+                     scope.c_str(), static_cast<long long>(s.pid),
+                     s.shards_completed, notes.c_str());
+        std::fputs(counters_to_text(s.counters, scope).c_str(), out);
       }
       std::fprintf(out,
-                   "cache-stats: total: %llu hit(s), %llu miss(es), %llu "
-                   "worker failure(s), %llu timeout(s)%s\n",
-                   static_cast<unsigned long long>(report.cache_hits),
-                   static_cast<unsigned long long>(report.cache_misses),
+                   "cache-stats: fleet: %llu worker failure(s), %llu "
+                   "timeout(s)%s\n",
                    static_cast<unsigned long long>(report.worker_failures),
                    static_cast<unsigned long long>(report.worker_timeouts),
                    report.degraded ? " [DEGRADED]" : "");
-      if (!report.search_kernel.empty()) {
-        std::fprintf(
-            out,
-            "search-stats: %llu subtree task(s), %llu steal(s), "
-            "kernel=%s\n",
-            static_cast<unsigned long long>(report.search_subtree_tasks),
-            static_cast<unsigned long long>(report.search_steals),
-            report.search_kernel.c_str());
-      }
-      print_tune_totals(out);
     } else {
       const TilingCache::Stats s = service.tiling_cache().stats();
-      std::fprintf(out,
-                   "cache-stats: %llu hit(s) (%llu from disk), %llu "
-                   "miss(es), %zu entrie(s)\n",
-                   static_cast<unsigned long long>(s.hits),
-                   static_cast<unsigned long long>(s.disk_hits),
-                   static_cast<unsigned long long>(s.misses), s.entries);
-      if (!s.search_kernel.empty()) {
-        std::fprintf(
-            out,
-            "search-stats: %llu subtree task(s), %llu steal(s), "
-            "kernel=%s\n",
-            static_cast<unsigned long long>(s.search_subtree_tasks),
-            static_cast<unsigned long long>(s.search_steals),
-            s.search_kernel.c_str());
-      }
       const tune::TuneCache::Stats t = service.tune_cache().stats();
-      if (t.hits + t.misses + t.searches + t.trials > 0) {
-        std::fprintf(out,
-                     "tune-stats: %llu hit(s) (%llu from disk), %llu "
-                     "miss(es), %llu search(es), %llu trial(s), %zu "
-                     "entrie(s)\n",
-                     static_cast<unsigned long long>(t.hits),
-                     static_cast<unsigned long long>(t.disk_hits),
-                     static_cast<unsigned long long>(t.misses),
-                     static_cast<unsigned long long>(t.searches),
-                     static_cast<unsigned long long>(t.trials), t.entries);
-      }
-    }
-    if (report.regions > 0) {
       std::fprintf(out,
-                   "region-stats: %llu region(s), %llu seam sensor(s), "
-                   "%llu stitch recolor(s)\n",
-                   static_cast<unsigned long long>(report.regions),
-                   static_cast<unsigned long long>(report.seam_sensors),
-                   static_cast<unsigned long long>(report.stitch_recolored));
+                   "cache-stats: in-process: %zu tiling entrie(s) (%llu "
+                   "disk hit(s)), %llu tune entrie(s) (%llu disk hit(s))\n",
+                   s.entries, static_cast<unsigned long long>(s.disk_hits),
+                   static_cast<unsigned long long>(t.entries),
+                   static_cast<unsigned long long>(t.disk_hits));
     }
+    std::fputs(counters_to_text(report.counters).c_str(), out);
     if (const std::uint64_t rss = peak_rss_bytes(); rss > 0) {
       std::fprintf(out, "peak-rss: %.1f MiB\n",
                    static_cast<double>(rss) / (1024.0 * 1024.0));
@@ -739,8 +659,8 @@ int run(int argc, char** argv) {
         "batch: %zu scenario(s) in %.1f ms; tiling cache: %llu hit(s), "
         "%llu miss(es)\n",
         report.items.size(), report.wall_seconds * 1e3,
-        static_cast<unsigned long long>(report.cache_hits),
-        static_cast<unsigned long long>(report.cache_misses));
+        static_cast<unsigned long long>(report.counters.cache_hits),
+        static_cast<unsigned long long>(report.counters.cache_misses));
     if (report.worker_failures > 0) {
       std::printf("WARNING: %llu worker failure(s); shards were "
                   "reassigned\n",
@@ -766,8 +686,8 @@ int run(int argc, char** argv) {
     // Keep the machine-readable stream clean; counters also live inside
     // the JSON form.
     std::fprintf(stderr, "tiling cache: %llu hit(s), %llu miss(es)\n",
-                 static_cast<unsigned long long>(report.cache_hits),
-                 static_cast<unsigned long long>(report.cache_misses));
+                 static_cast<unsigned long long>(report.counters.cache_hits),
+                 static_cast<unsigned long long>(report.counters.cache_misses));
     if (cli.get_bool("cache-stats")) print_cache_stats(stderr);
   }
   if (const std::string out = cli.get_string("out"); !out.empty()) {

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/json.hpp"
+
 namespace latticesched::serve {
 
 using dist::WireIoStatus;
@@ -16,33 +18,6 @@ namespace {
 /// Transport loss inside a request attempt; caught by the retry loop,
 /// never escapes PlanClient.
 struct TransportLost {};
-
-/// Extracts the value after `"key": ` in a one-line JSON object
-/// (numbers and escape-free strings — all the serve headers carry).
-std::string json_value(const std::string& obj, const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const std::size_t at = obj.find(needle);
-  if (at == std::string::npos) {
-    throw std::invalid_argument("serve client: missing key '" + key +
-                                "' in '" + obj + "'");
-  }
-  std::size_t pos = at + needle.size();
-  if (pos < obj.size() && obj[pos] == '"') {
-    const std::size_t end = obj.find('"', pos + 1);
-    if (end == std::string::npos) {
-      throw std::invalid_argument("serve client: unterminated string for '" +
-                                  key + "'");
-    }
-    return obj.substr(pos + 1, end - pos - 1);
-  }
-  std::size_t end = pos;
-  while (end < obj.size() && obj[end] != ',' && obj[end] != '}') ++end;
-  return obj.substr(pos, end - pos);
-}
-
-std::uint64_t json_u64(const std::string& obj, const std::string& key) {
-  return std::stoull(json_value(obj, key));
-}
 
 /// Parses a REPLAN RESULT / EVENT body:
 /// "<id>\n{header}\n" + plan_results_to_json rows.
@@ -153,8 +128,8 @@ OpenInfo PlanClient::open(const BatchItem& item) {
   dist::split_body(reply.body, &id_line, &header);
   OpenInfo info;
   info.session = json_u64(header, "session");
-  info.scenario = json_value(header, "scenario");
-  info.label = json_value(header, "label");
+  info.scenario = json_field(header, "scenario");
+  info.label = json_field(header, "label");
   info.sensors = static_cast<std::size_t>(json_u64(header, "sensors"));
   info.channels = static_cast<std::uint32_t>(json_u64(header, "channels"));
   info.pending = static_cast<std::size_t>(json_u64(header, "pending"));
@@ -233,7 +208,6 @@ BatchReport PlanClient::run_items(const std::vector<BatchItem>& items) {
   BatchReport report;
   report.items.resize(items.size());
   session_stats_.clear();
-  std::uint64_t regions_max = 0;
   for (std::size_t i = 0; i < items.size(); ++i) {
     const BatchItem& item = items[i];
     BatchItemReport& out = report.items[i];
@@ -269,16 +243,7 @@ BatchReport PlanClient::run_items(const std::vector<BatchItem>& items) {
 
       const SessionWireStats stats = close_session(session);
       session_stats_.emplace_back(out.label, stats);
-      report.cache_hits += stats.cache_hits;
-      report.cache_misses += stats.cache_misses;
-      report.search_subtree_tasks += stats.search_subtree_tasks;
-      report.search_steals += stats.search_steals;
-      if (!stats.search_kernel.empty()) {
-        report.search_kernel = stats.search_kernel;
-      }
-      if (stats.regions > regions_max) regions_max = stats.regions;
-      report.seam_sensors += stats.seam_sensors;
-      report.stitch_recolored += stats.stitch_recolored;
+      report.counters.merge(stats.counters);
     } catch (const ServerError& e) {
       // Same surface as the local run's per-item catch: the item
       // reports its failure, the batch carries on.
@@ -295,7 +260,6 @@ BatchReport PlanClient::run_items(const std::vector<BatchItem>& items) {
       }
     }
   }
-  report.regions = regions_max;
   report.wall_seconds = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
                             .count();

@@ -4,11 +4,13 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
-#include "core/plan_session.hpp"
 #include "core/report.hpp"
 #include "core/scenario.hpp"
 #include "dist/wire.hpp"
+#include "util/cli.hpp"
+#include "util/json.hpp"
 
 namespace latticesched::serve {
 
@@ -23,89 +25,39 @@ namespace {
 /// noticed promptly, long enough to stay off the scheduler's back.
 constexpr int kReadSliceMs = 200;
 
-std::uint64_t parse_u64_text(const std::string& text, const char* what) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long v = std::stoull(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-    return static_cast<std::uint64_t>(v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string("serve: bad ") + what + " '" +
-                                text + "'");
-  }
-}
-
-/// Extracts the value after `"key": ` in a one-line JSON object
-/// (numbers and quoted strings without escapes — the stats/header
-/// schemas emitted below never need more).
-std::string json_value(const std::string& obj, const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const std::size_t at = obj.find(needle);
-  if (at == std::string::npos) {
-    throw std::invalid_argument("serve: missing key '" + key + "' in '" +
-                                obj + "'");
-  }
-  std::size_t pos = at + needle.size();
-  if (pos < obj.size() && obj[pos] == '"') {
-    const std::size_t end = obj.find('"', pos + 1);
-    if (end == std::string::npos) {
-      throw std::invalid_argument("serve: unterminated string for '" + key +
-                                  "'");
-    }
-    return obj.substr(pos + 1, end - pos - 1);
-  }
-  std::size_t end = pos;
-  while (end < obj.size() && obj[end] != ',' && obj[end] != '}') ++end;
-  return obj.substr(pos, end - pos);
-}
+/// The PlanSession::Stats fields the CLOSE "session" object carries
+/// (the region fields ride in the counters groups).
+constexpr std::pair<const char*, std::uint64_t PlanSession::Stats::*>
+    kSessionFields[] = {
+        {"replans", &PlanSession::Stats::replans},
+        {"deltas", &PlanSession::Stats::deltas},
+        {"graph_builds", &PlanSession::Stats::graph_builds},
+        {"graph_patches", &PlanSession::Stats::graph_patches},
+        {"warm_greedy", &PlanSession::Stats::warm_greedy},
+        {"regions_replanned", &PlanSession::Stats::regions_replanned},
+};
 
 }  // namespace
 
 std::string session_stats_to_json(const SessionWireStats& stats) {
   std::ostringstream os;
-  os << "{\"replans\": " << stats.replans
-     << ", \"deltas\": " << stats.deltas
-     << ", \"graph_builds\": " << stats.graph_builds
-     << ", \"graph_patches\": " << stats.graph_patches
-     << ", \"warm_greedy\": " << stats.warm_greedy
-     << ", \"regions\": " << stats.regions
-     << ", \"regions_replanned\": " << stats.regions_replanned
-     << ", \"seam_sensors\": " << stats.seam_sensors
-     << ", \"stitch_recolored\": " << stats.stitch_recolored
-     << ", \"cache_hits\": " << stats.cache_hits
-     << ", \"cache_misses\": " << stats.cache_misses
-     << ", \"search_subtree_tasks\": " << stats.search_subtree_tasks
-     << ", \"search_steals\": " << stats.search_steals
-     << ", \"search_kernel\": \"" << stats.search_kernel << "\"}";
+  os << "{\n" << counters_to_json(stats.counters) << "  \"session\": {";
+  const char* separator = "";
+  for (const auto& [key, field] : kSessionFields) {
+    os << separator << '"' << key << "\": " << stats.session.*field;
+    separator = ", ";
+  }
+  os << "}\n}\n";
   return os.str();
 }
 
 SessionWireStats session_stats_from_json(const std::string& json) {
   SessionWireStats stats;
-  stats.replans = parse_u64_text(json_value(json, "replans"), "replans");
-  stats.deltas = parse_u64_text(json_value(json, "deltas"), "deltas");
-  stats.graph_builds =
-      parse_u64_text(json_value(json, "graph_builds"), "graph_builds");
-  stats.graph_patches =
-      parse_u64_text(json_value(json, "graph_patches"), "graph_patches");
-  stats.warm_greedy =
-      parse_u64_text(json_value(json, "warm_greedy"), "warm_greedy");
-  stats.regions = parse_u64_text(json_value(json, "regions"), "regions");
-  stats.regions_replanned = parse_u64_text(
-      json_value(json, "regions_replanned"), "regions_replanned");
-  stats.seam_sensors =
-      parse_u64_text(json_value(json, "seam_sensors"), "seam_sensors");
-  stats.stitch_recolored = parse_u64_text(
-      json_value(json, "stitch_recolored"), "stitch_recolored");
-  stats.cache_hits =
-      parse_u64_text(json_value(json, "cache_hits"), "cache_hits");
-  stats.cache_misses =
-      parse_u64_text(json_value(json, "cache_misses"), "cache_misses");
-  stats.search_subtree_tasks = parse_u64_text(
-      json_value(json, "search_subtree_tasks"), "search_subtree_tasks");
-  stats.search_steals =
-      parse_u64_text(json_value(json, "search_steals"), "search_steals");
-  stats.search_kernel = json_value(json, "search_kernel");
+  stats.counters = parse_counters_json(json);
+  const std::string session = json_field(json, "session");
+  for (const auto& [key, field] : kSessionFields) {
+    stats.session.*field = json_u64(session, key);
+  }
   return stats;
 }
 
@@ -128,17 +80,14 @@ struct PlanServer::Connection {
 /// connection: connections come and go (including by scripted
 /// drop-connection faults), the session persists until CLOSE.
 struct PlanServer::WireSession {
+  explicit WireSession(ScenarioInstance built) : instance(std::move(built)) {}
+
   std::mutex mu;
 
-  std::string scenario;
-  std::string label;
-  std::size_t initial_sensors = 0;
-  std::uint32_t channels = 1;
-
-  /// Scenario geometry the PlanSession borrows pointers into; must
-  /// live exactly as long as the session.
-  std::optional<Lattice> lattice;
-  std::optional<Tiling> tiling;
+  /// The built scenario: its label, and the geometry the PlanSession
+  /// borrows pointers into (so it lives exactly as long as the session).
+  /// Its deployment moved into the session.
+  ScenarioInstance instance;
 
   std::unique_ptr<PlanSession> session;
 
@@ -154,13 +103,10 @@ struct PlanServer::WireSession {
   WireMessage last_delta_ok;
   WireMessage open_ok;  ///< replayed on an idempotent re-OPEN
 
-  /// This session's share of the shared cache traffic (before/after
-  /// snapshots around its replans; approximate under concurrency).
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t search_subtree_tasks = 0;
-  std::uint64_t search_steals = 0;
-  std::string search_kernel;
+  /// This session's share of the shared caches' counters (before/after
+  /// snapshots around its scenario build and its replans; approximate
+  /// under concurrency).
+  Counters counters;
 
   /// EVENT-stream subscribers (pruned lazily as connections die).
   std::vector<std::weak_ptr<Connection>> subscribers;
@@ -327,7 +273,7 @@ bool PlanServer::handle_message(Connection& conn,
 
 std::shared_ptr<PlanServer::WireSession> PlanServer::find_session(
     const std::string& id_text, std::uint64_t* id) {
-  *id = parse_u64_text(id_text, "session id");
+  *id = parse_u64(id_text, "session id");
   std::lock_guard<std::mutex> lock(sessions_mu_);
   const auto it = sessions_.find(*id);
   if (it == sessions_.end()) {
@@ -367,43 +313,27 @@ void PlanServer::handle_open(Connection& conn, const std::string& body) {
     }
   }
 
-  // Mirror of the PlanService item path (core/plan_service.cpp), with
-  // the trace queued instead of replayed — the client drives each step
-  // through DELTA, which is what keeps remote and local runs
-  // result-identical step for step.
-  ScenarioInstance instance = ScenarioRegistry::global().build(
-      item.query.scenario, item.query.params, &service_.tiling_cache());
-  auto ws = std::make_shared<WireSession>();
-  ws->scenario = item.query.scenario;
-  ws->label = instance.label;
-  ws->initial_sensors = instance.deployment.size();
-  ws->channels = instance.channels;
-  ws->lattice = std::move(instance.lattice);
-  ws->tiling = std::move(instance.tiling);
-  MutationTrace trace = std::move(instance.trace);
+  // The PlanService item path (core/plan_service.cpp), with the trace
+  // queued instead of replayed — the client drives each step through
+  // DELTA, which is what keeps remote and local runs result-identical
+  // step for step.
+  const CacheStats before =
+      cache_stats(service_.tiling_cache(), service_.tune_cache());
+  auto ws = std::make_shared<WireSession>(ScenarioRegistry::global().build(
+      item.query.scenario, item.query.params, &service_.tiling_cache()));
+  ws->counters = counters_between(
+      before, cache_stats(service_.tiling_cache(), service_.tune_cache()));
+  MutationTrace trace = std::move(ws->instance.trace);
   if (!item.trace_script.empty()) {
     trace = parse_mutation_script(item.trace_script);
   }
   ws->pending = std::move(trace.steps);
-
-  SessionConfig config;
-  config.backends = item.backends;
-  config.search = item.search;
-  config.sa = item.sa;
-  config.verify = item.verify;
-  config.regions = item.regions;
-  config.region_halo = item.region_halo;
-  config.channels = ws->channels;
-  if (ws->lattice.has_value()) config.lattice = &*ws->lattice;
-  if (ws->tiling.has_value()) config.tiling = &*ws->tiling;
-  config.tiling_cache = &service_.tiling_cache();
-  config.planners = &PlannerRegistry::global();
-  config.tune_cache = &service_.tune_cache();
-  config.tune_trials = item.tune_trials;
-  config.tune_budget_ms = item.tune_budget_ms;
-  config.tune_family = item.query.scenario;
-  ws->session =
-      std::make_unique<PlanSession>(std::move(instance.deployment), config);
+  const std::size_t sensors = ws->instance.deployment.size();
+  const SessionConfig config =
+      session_config(item, ws->instance, &service_.tiling_cache(),
+                     &service_.tune_cache(), &PlannerRegistry::global());
+  ws->session = std::make_unique<PlanSession>(
+      std::move(ws->instance.deployment), config);
 
   std::uint64_t id = 0;
   {
@@ -416,9 +346,9 @@ void PlanServer::handle_open(Connection& conn, const std::string& body) {
 
   std::ostringstream os;
   os << id << "\n{\"session\": " << id << ", \"scenario\": \""
-     << ws->scenario << "\", \"label\": \"" << ws->label
-     << "\", \"sensors\": " << ws->initial_sensors
-     << ", \"channels\": " << ws->channels
+     << json_escape(item.query.scenario) << "\", \"label\": \""
+     << json_escape(ws->instance.label) << "\", \"sensors\": " << sensors
+     << ", \"channels\": " << ws->instance.channels
      << ", \"pending\": " << ws->pending.size() << "}";
   ws->open_ok = {"OK", os.str()};
   std::lock_guard<std::mutex> lock(ws->mu);
@@ -436,7 +366,7 @@ void PlanServer::handle_delta(Connection& conn, const std::string& body) {
   const std::shared_ptr<WireSession> ws =
       find_session(first.substr(0, space), &id);
   const std::uint64_t seq =
-      parse_u64_text(first.substr(space + 1), "delta seq");
+      parse_u64(first.substr(space + 1), "delta seq");
 
   std::lock_guard<std::mutex> lock(ws->mu);
   if (seq + 1 == ws->next_delta_seq) {
@@ -485,20 +415,16 @@ void PlanServer::handle_replan(Connection& conn, const std::string& body) {
   const std::shared_ptr<WireSession> ws = find_session(first, &id);
 
   std::lock_guard<std::mutex> lock(ws->mu);
-  const TilingCache::Stats before = service_.tiling_cache().stats();
+  const CacheStats before =
+      cache_stats(service_.tiling_cache(), service_.tune_cache());
   const std::vector<PlanResult> results = ws->session->replan();
-  const TilingCache::Stats after = service_.tiling_cache().stats();
-  ws->cache_hits += after.hits - before.hits;
-  ws->cache_misses += after.misses - before.misses;
-  ws->search_subtree_tasks +=
-      after.search_subtree_tasks - before.search_subtree_tasks;
-  ws->search_steals += after.search_steals - before.search_steals;
-  if (!after.search_kernel.empty()) ws->search_kernel = after.search_kernel;
+  ws->counters.merge(counters_between(
+      before, cache_stats(service_.tiling_cache(), service_.tune_cache())));
 
   std::ostringstream os;
   os << id << "\n{\"session\": " << id << ", \"step\": " << ws->last_step
      << ", \"sensors\": " << ws->session->deployment().size() << "}\n"
-     << plan_results_to_json(results, ws->label, ws->last_step);
+     << plan_results_to_json(results, ws->instance.label, ws->last_step);
   const WireMessage result{"RESULT", os.str()};
   (void)send(conn, result);
 
@@ -549,7 +475,7 @@ void PlanServer::handle_subscribe(Connection& conn,
 void PlanServer::handle_close(Connection& conn, const std::string& body) {
   std::string first, rest;
   dist::split_body(body, &first, &rest);
-  const std::uint64_t id = parse_u64_text(first, "session id");
+  const std::uint64_t id = parse_u64(first, "session id");
   std::shared_ptr<WireSession> ws;
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
@@ -568,22 +494,8 @@ void PlanServer::handle_close(Connection& conn, const std::string& body) {
   sessions_closed_.fetch_add(1, std::memory_order_relaxed);
 
   std::lock_guard<std::mutex> lock(ws->mu);
-  const PlanSession::Stats& st = ws->session->stats();
-  SessionWireStats stats;
-  stats.replans = st.replans;
-  stats.deltas = st.deltas;
-  stats.graph_builds = st.graph_builds;
-  stats.graph_patches = st.graph_patches;
-  stats.warm_greedy = st.warm_greedy;
-  stats.regions = st.regions;
-  stats.regions_replanned = st.regions_replanned;
-  stats.seam_sensors = st.seam_sensors;
-  stats.stitch_recolored = st.stitch_recolored;
-  stats.cache_hits = ws->cache_hits;
-  stats.cache_misses = ws->cache_misses;
-  stats.search_subtree_tasks = ws->search_subtree_tasks;
-  stats.search_steals = ws->search_steals;
-  stats.search_kernel = ws->search_kernel;
+  SessionWireStats stats{ws->session->stats(), ws->counters};
+  stats.counters.merge(counters_from_session(stats.session));
   (void)send(conn,
              {"OK", first + "\n" + session_stats_to_json(stats)});
 }

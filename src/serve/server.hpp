@@ -10,10 +10,11 @@
 // result-identical to a local PlanSession over the same deltas (the
 // session IS a PlanSession; pinned by tests/test_serve.cpp).
 //
-// Frame schemas (wire protocol v6; every body is text, frames are the
+// Frame schemas (wire protocol v8; every body is text, frames are the
 // length-prefixed format of src/dist/wire.hpp).  On accept the server
-// sends HELLO `{"protocol": 6, "role": "server"}`; a client verifies
-// the version before its first request.  Client -> server verbs:
+// sends HELLO `{"protocol": <dist::kProtocolVersion>, "role":
+// "server"}`; a client verifies the version before its first request.
+// Client -> server verbs:
 //
 //   OPEN       "<token>\n" + batch_items_to_json (exactly one item).
 //              Builds the scenario, opens a PlanSession on it, queues
@@ -44,7 +45,9 @@
 //              EVENT stream.  -> OK "<id>\n{"session": id,
 //              "subscribed": true}"
 //   CLOSE      "<id>".  Ends the session and returns its stats.
-//              -> OK "<id>\n" + session_stats_to_json
+//              -> OK "<id>\n" + session_stats_to_json: the batch
+//                 counters' groups, as in the batch-report footer, then
+//                 "session": {"replans": r, "deltas": d, ...}
 //   ASSIGN     "<shard>\n" + batch_items_to_json (any item count) —
 //              the distributed worker verb, served through the same
 //              listener so `--listen` makes this process a remote
@@ -78,37 +81,30 @@
 #include <thread>
 #include <vector>
 
+#include "core/counters.hpp"
 #include "core/plan_service.hpp"
+#include "core/plan_session.hpp"
 #include "dist/faults.hpp"
 #include "serve/tcp.hpp"
 
 namespace latticesched::serve {
 
-/// Per-session accounting returned by CLOSE: the PlanSession's
-/// incremental-reuse counters plus this session's share of the shared
-/// TilingCache traffic.  Cache attribution is a before/after snapshot
-/// around each of the session's operations — exact for a lone client,
-/// approximate (attribution may smear between sessions, totals stay
-/// exact) when sessions plan concurrently.
+/// Per-session accounting returned by CLOSE: the PlanSession's own
+/// stats plus this session's share of the batch counters.  The cache
+/// and tuning share is a before/after snapshot of the shared caches
+/// around the session's scenario build and each of its replans — exact
+/// for a lone client, approximate (attribution may smear between
+/// sessions, totals stay exact) when sessions plan concurrently.
 struct SessionWireStats {
-  std::uint64_t replans = 0;
-  std::uint64_t deltas = 0;
-  std::uint64_t graph_builds = 0;
-  std::uint64_t graph_patches = 0;
-  std::uint64_t warm_greedy = 0;
-  std::uint64_t regions = 0;
-  std::uint64_t regions_replanned = 0;
-  std::uint64_t seam_sensors = 0;
-  std::uint64_t stitch_recolored = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t search_subtree_tasks = 0;
-  std::uint64_t search_steals = 0;
-  std::string search_kernel;
+  /// The CLOSE body carries each value once: the region fields travel
+  /// in `counters`, so a parsed value leaves session.{regions,
+  /// seam_sensors, stitch_recolored} at 0.
+  PlanSession::Stats session;
+  Counters counters;
 };
 
-/// One-line JSON form of the CLOSE body (and its parser; round-trip
-/// exact — the client feeds the parse into the --cache-stats footer).
+/// The CLOSE body: the counters_to_json groups plus a "session" object
+/// (and its parser; the client feeds the parse into --cache-stats).
 std::string session_stats_to_json(const SessionWireStats& stats);
 SessionWireStats session_stats_from_json(const std::string& json);
 

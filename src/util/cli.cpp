@@ -1,10 +1,21 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
 
 namespace latticesched {
+
+std::uint64_t parse_u64(const std::string& text, const std::string& what) {
+  std::uint64_t value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) {
+    throw std::invalid_argument("bad " + what + " '" + text + "'");
+  }
+  return value;
+}
 
 std::vector<std::string> split_csv_list(const std::string& csv) {
   std::vector<std::string> out;

@@ -21,6 +21,11 @@ namespace latticesched {
 /// tokenizer behind backend lists and the driver's sweep flags.
 std::vector<std::string> split_csv_list(const std::string& csv);
 
+/// `text` as a decimal u64: digits only, no sign, whitespace or trailing
+/// junk, no overflow.  Throws std::invalid_argument naming `what`.  The
+/// one strict parse behind wire ids, JSON counters and fault plans.
+std::uint64_t parse_u64(const std::string& text, const std::string& what);
+
 /// The candidate closest to `name` by edit distance, or "" when nothing
 /// is plausibly a typo (distance > max(2, |name| / 3)).  Ties resolve
 /// to the earliest candidate, so registry order makes the suggestion

@@ -282,8 +282,8 @@ TEST(Wire, BatchReportJsonParseEmitIsIdentity) {
   const std::string emitted = batch_report_to_json(report);
   const BatchReport parsed = parse_batch_report_json(emitted);
   ASSERT_EQ(parsed.items.size(), report.items.size());
-  EXPECT_EQ(parsed.cache_hits, report.cache_hits);
-  EXPECT_EQ(parsed.cache_misses, report.cache_misses);
+  EXPECT_EQ(parsed.counters.cache_hits, report.counters.cache_hits);
+  EXPECT_EQ(parsed.counters.cache_misses, report.counters.cache_misses);
   EXPECT_FALSE(parsed.items[2].built);
   // Emit ∘ parse ∘ emit is the identity — the distributed merge path
   // cannot lose or reshape a field without this failing.
@@ -311,27 +311,27 @@ TEST(DistributedService, WarmSweepByteIdenticalToSerialAndMissFree) {
   cold_service.tiling_cache().set_persist_dir(cache_dir.path);
   const BatchReport cold = cold_service.run(items);
   ASSERT_TRUE(cold.all_ok());
-  EXPECT_GT(cold.cache_misses, 0u);
+  EXPECT_GT(cold.counters.cache_misses, 0u);
 
   PlanService warm_service;
   warm_service.tiling_cache().set_persist_dir(cache_dir.path);
   const BatchReport serial = warm_service.run(items);
   ASSERT_TRUE(serial.all_ok());
-  EXPECT_EQ(serial.cache_misses, 0u);
+  EXPECT_EQ(serial.counters.cache_misses, 0u);
   set_parallel_threads(0);
 
   ShardCoordinator coordinator(config_for(4, cache_dir.path));
   const BatchReport distributed = coordinator.run(items);
   ASSERT_TRUE(distributed.all_ok());
   EXPECT_EQ(distributed.worker_failures, 0u);
-  EXPECT_EQ(distributed.cache_misses, 0u)
+  EXPECT_EQ(distributed.counters.cache_misses, 0u)
       << "a populated --cache-dir must serve every worker's torus "
          "search from disk";
-  EXPECT_EQ(distributed.cache_hits, serial.cache_hits)
+  EXPECT_EQ(distributed.counters.cache_hits, serial.counters.cache_hits)
       << "workers collectively run exactly the serial run's searches";
   EXPECT_EQ(coordinator.worker_stats().size(), 4u);
   for (const dist::WorkerCacheStats& w : coordinator.worker_stats()) {
-    EXPECT_EQ(w.cache_misses, 0u) << "pid " << w.pid;
+    EXPECT_EQ(w.counters.cache_misses, 0u) << "pid " << w.pid;
     EXPECT_FALSE(w.failed);
   }
 
@@ -364,7 +364,7 @@ TEST(DistributedService, SingleItemBatchColdByteIdentical) {
   ASSERT_TRUE(distributed.all_ok());
   EXPECT_EQ(coordinator.worker_stats().size(), 1u)
       << "a single-item batch must not spawn idle workers";
-  EXPECT_EQ(distributed.cache_misses, 1u);
+  EXPECT_EQ(distributed.counters.cache_misses, 1u);
   EXPECT_EQ(normalize_wall(batch_report_to_json(distributed)),
             normalize_wall(batch_report_to_json(serial)));
 }

@@ -156,11 +156,11 @@ TEST(PlanService, CacheCountersSurfaceInBatchReports) {
   item.query = ScenarioQuery{"grid", params};
   item.backends = {"tiling"};
   const BatchReport cold = service.run({item});
-  EXPECT_EQ(cold.cache_misses, 1u);
-  EXPECT_EQ(cold.cache_hits, 0u);
+  EXPECT_EQ(cold.counters.cache_misses, 1u);
+  EXPECT_EQ(cold.counters.cache_hits, 0u);
   const BatchReport warm = service.run({item});
-  EXPECT_EQ(warm.cache_misses, 0u);
-  EXPECT_EQ(warm.cache_hits, 1u);
+  EXPECT_EQ(warm.counters.cache_misses, 0u);
+  EXPECT_EQ(warm.counters.cache_hits, 1u);
   set_parallel_threads(0);
 }
 
@@ -199,8 +199,8 @@ TEST(PlanService, DynamicItemsRunTheirTraceStepByStep) {
             out.steps.back().results[0].slots.slot);
   // The session reused the memoized search: one miss for the grid ball,
   // hits for every later step.
-  EXPECT_EQ(report.cache_misses, 1u);
-  EXPECT_GE(report.cache_hits, 3u);
+  EXPECT_EQ(report.counters.cache_misses, 1u);
+  EXPECT_GE(report.counters.cache_hits, 3u);
 }
 
 TEST(PlanService, TraceScriptOverridesTheScenarioTrace) {

@@ -280,14 +280,14 @@ TEST(RegionShard, ReportFooterRoundTripsRegionCounters) {
   report.items[0].scenario = "grid";
   report.items[0].label = "grid(n=4 r=1)";
   report.items[0].built = true;
-  report.regions = 16;
-  report.seam_sensors = 1234;
-  report.stitch_recolored = 56;
+  report.counters.regions = 16;
+  report.counters.seam_sensors = 1234;
+  report.counters.stitch_recolored = 56;
   const BatchReport parsed =
       parse_batch_report_json(batch_report_to_json(report));
-  EXPECT_EQ(parsed.regions, 16u);
-  EXPECT_EQ(parsed.seam_sensors, 1234u);
-  EXPECT_EQ(parsed.stitch_recolored, 56u);
+  EXPECT_EQ(parsed.counters.regions, 16u);
+  EXPECT_EQ(parsed.counters.seam_sensors, 1234u);
+  EXPECT_EQ(parsed.counters.stitch_recolored, 56u);
 }
 
 TEST(RegionShard, BatchItemsRoundTripRegionKnobs) {

@@ -190,6 +190,73 @@ TEST(PlanServe, ConcurrentSessionsMatchSerialRunsByteForByte) {
   EXPECT_EQ(stats.open_sessions, 0u);
 }
 
+TEST(PlanServe, RemoteAutoItemReportsTheLocalTuningCounters) {
+  // One client on a fresh server tunes and searches exactly what a
+  // fresh local service does, and the CLOSE stats carry the counters
+  // back.  figure5 searches its tiling while the scenario builds (at
+  // OPEN, server side).  Not part of the concurrent test above: clients
+  // sharing one tune cache split its counters by who ran first.
+  BatchItem item;
+  item.query.scenario = "grid";
+  item.query.params.n = 8;
+  item.backends = {"auto"};
+  item.tune_trials = 4;
+  BatchItem figure5 = item;
+  figure5.query.scenario = "figure5";
+  const std::vector<BatchItem> items = {item, figure5};
+
+  PlanServer server{ServerConfig{}};
+  server.start();
+  ClientConfig config;
+  config.port = server.port();
+  PlanClient client(config);
+  const BatchReport remote = client.run_items(items);
+  server.stop();
+
+  PlanService service;
+  const BatchReport local = service.run(items);
+  ASSERT_TRUE(local.all_ok());
+  ASSERT_TRUE(remote.all_ok());
+  EXPECT_EQ(local.counters.tune_searches, 2u);
+  EXPECT_EQ(local.counters.tune_trials_run, 8u);
+  EXPECT_EQ(remote.counters.tune_hits, local.counters.tune_hits);
+  EXPECT_EQ(remote.counters.tune_misses, local.counters.tune_misses);
+  EXPECT_EQ(remote.counters.tune_searches, local.counters.tune_searches);
+  EXPECT_EQ(remote.counters.tune_trials_run, local.counters.tune_trials_run);
+  EXPECT_EQ(remote.counters.cache_hits, local.counters.cache_hits);
+  EXPECT_EQ(remote.counters.cache_misses, local.counters.cache_misses);
+}
+
+TEST(PlanServe, CloseBodyRoundTripsSessionStatsAndCounters) {
+  serve::SessionWireStats stats;
+  stats.session.replans = 1;
+  stats.session.deltas = 2;
+  stats.session.graph_builds = 3;
+  stats.session.graph_patches = 4;
+  stats.session.warm_greedy = 5;
+  stats.session.regions_replanned = 6;
+  stats.counters.cache_misses = 7;
+  stats.counters.search_kernel = "scalar";
+  stats.counters.regions = 8;
+  stats.counters.tune_trials_run = 9;
+  const std::string body = serve::session_stats_to_json(stats);
+  // The batch-report footer's groups, then the session's own stats.
+  EXPECT_NE(body.find("  \"cache\": {\"hits\": 0, \"misses\": 7},\n"),
+            std::string::npos);
+  const serve::SessionWireStats parsed =
+      serve::session_stats_from_json(body);
+  EXPECT_EQ(parsed.session.replans, 1u);
+  EXPECT_EQ(parsed.session.deltas, 2u);
+  EXPECT_EQ(parsed.session.graph_builds, 3u);
+  EXPECT_EQ(parsed.session.graph_patches, 4u);
+  EXPECT_EQ(parsed.session.warm_greedy, 5u);
+  EXPECT_EQ(parsed.session.regions_replanned, 6u);
+  EXPECT_EQ(counters_to_json(parsed.counters),
+            counters_to_json(stats.counters));
+  EXPECT_THROW((void)serve::session_stats_from_json("{}"),
+               std::invalid_argument);
+}
+
 TEST(PlanServe, SurvivesDropConnectionFaultsWithZeroLostSessions) {
   // The first four accepted connections each get hard-dropped before
   // their third outbound frame — mid-session, response eaten.  The
@@ -238,8 +305,8 @@ TEST(PlanServe, DeltaScriptSessionMatchesLocalPlanSession) {
   EXPECT_EQ(delta.step, 1u);
   const serve::ReplanOutcome remote = client.replan(info.session);
   const serve::SessionWireStats stats = client.close_session(info.session);
-  EXPECT_EQ(stats.replans, 1u);
-  EXPECT_EQ(stats.deltas, 1u);
+  EXPECT_EQ(stats.session.replans, 1u);
+  EXPECT_EQ(stats.session.deltas, 1u);
   server.stop();
 
   // The same deployment driven through a local PlanSession.

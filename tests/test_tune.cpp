@@ -334,19 +334,19 @@ TEST(AutoBackend, WarmFullRegistrySweepRunsZeroSearches) {
   cold_service.tune_cache().set_persist_dir(cache_dir.path);
   const BatchReport cold = cold_service.run(items);
   ASSERT_TRUE(cold.all_ok());
-  EXPECT_GT(cold.tune_searches, 0u);
-  EXPECT_GT(cold.tune_trials_run, 0u);
+  EXPECT_GT(cold.counters.tune_searches, 0u);
+  EXPECT_GT(cold.counters.tune_trials_run, 0u);
 
   PlanService warm_service;
   warm_service.tiling_cache().set_persist_dir(cache_dir.path);
   warm_service.tune_cache().set_persist_dir(cache_dir.path);
   const BatchReport warm = warm_service.run(items);
   ASSERT_TRUE(warm.all_ok());
-  EXPECT_EQ(warm.tune_misses, 0u);
-  EXPECT_EQ(warm.tune_searches, 0u) << "a populated tune cache must "
-                                       "serve every family without a search";
-  EXPECT_EQ(warm.tune_trials_run, 0u);
-  EXPECT_GT(warm.tune_hits, 0u);
+  EXPECT_EQ(warm.counters.tune_misses, 0u);
+  EXPECT_EQ(warm.counters.tune_searches, 0u)
+      << "a populated tune cache must serve every family without a search";
+  EXPECT_EQ(warm.counters.tune_trials_run, 0u);
+  EXPECT_GT(warm.counters.tune_hits, 0u);
 
   // Same plans, warm or cold: the cache changed the cost, not the answer.
   for (std::size_t i = 0; i < warm.items.size(); ++i) {
@@ -408,7 +408,7 @@ TEST(AutoBackend, DistributedWarmSweepByteIdenticalToSerial) {
   warm_service.tune_cache().set_persist_dir(cache_dir.path);
   const BatchReport serial = warm_service.run(items);
   ASSERT_TRUE(serial.all_ok());
-  EXPECT_EQ(serial.tune_searches, 0u);
+  EXPECT_EQ(serial.counters.tune_searches, 0u);
   set_parallel_threads(0);
 
   dist::CoordinatorConfig config;
@@ -419,19 +419,19 @@ TEST(AutoBackend, DistributedWarmSweepByteIdenticalToSerial) {
   dist::ShardCoordinator coordinator(config);
   const BatchReport distributed = coordinator.run(items);
   ASSERT_TRUE(distributed.all_ok());
-  EXPECT_EQ(distributed.tune_searches, 0u)
+  EXPECT_EQ(distributed.counters.tune_searches, 0u)
       << "a populated tune cache must serve every worker without a search";
-  EXPECT_EQ(distributed.tune_hits, serial.tune_hits);
+  EXPECT_EQ(distributed.counters.tune_hits, serial.counters.tune_hits);
 
   EXPECT_EQ(normalize_wall(batch_report_to_json(distributed)),
             normalize_wall(batch_report_to_json(serial)));
 
   std::uint64_t worker_tune_hits = 0;
   for (const dist::WorkerCacheStats& w : coordinator.worker_stats()) {
-    worker_tune_hits += w.tune_hits;
-    EXPECT_EQ(w.tune_searches, 0u) << "pid " << w.pid;
+    worker_tune_hits += w.counters.tune_hits;
+    EXPECT_EQ(w.counters.tune_searches, 0u) << "pid " << w.pid;
   }
-  EXPECT_EQ(worker_tune_hits, distributed.tune_hits);
+  EXPECT_EQ(worker_tune_hits, distributed.counters.tune_hits);
 }
 
 }  // namespace
