@@ -25,7 +25,6 @@
 #include "core/tiling_scheduler.hpp"
 #include "graph/interference.hpp"
 #include "sim/simulator.hpp"
-#include "tiling/mask_kernels.hpp"
 #include "tiling/shapes.hpp"
 #include "tiling/torus_search.hpp"
 #include "util/parallel.hpp"
@@ -375,117 +374,43 @@ void report() {
                          0.0, t_serial / t_parallel, threads});
   }
 
-  bench::section("Work-stealing subtree search + SIMD mask kernels");
+  bench::section("Single-torus root fan-out vs serial");
 
   // The skewed-subtree workload: S+Z on ONE unsatisfiable torus (odd
-  // cell count; the task engine runs, not the cross-torus sweep), so the
-  // whole tree is explored.  Its subtrees differ wildly in size — the
-  // case root-only fan-out quantizes badly.
-  const Sublattice skew_period = Sublattice::diagonal({15, 15});
-  const auto stealing_search = [&](std::uint32_t spawn_depth,
-                                   TorusSearchStats* stats) {
-    TorusSearchConfig cfg;
-    cfg.max_spawn_depth = spawn_depth;
-    cfg.stats = stats;
-    if (!all_tilings_on_torus(mixed_tetrominoes(), skew_period, 100'000,
-                              cfg)
-             .empty()) {
-      std::abort();  // workload must stay search-only
-    }
-  };
-
-  // SIMD kernels, serial engine, on a wider torus (21x21 = 441 cells =
-  // 7 mask words — the 4-word torus above fits the scalar loop too well
-  // to discriminate).  Both kernels expand the identical node sequence,
-  // so the wall-time ratio equals the nodes/s ratio; the rounds
-  // interleave the kernels (best-of each) so drift hits both equally.
-  // The AVX2 row is absent on hosts/builds without AVX2.
+  // cell count; the root fan-out runs, not the cross-torus sweep), so the
+  // whole tree is explored and every thread count expands the identical
+  // nodes.  Its root subtrees differ widely in size, which bounds what a
+  // one-level fan-out can gain.  At 1 thread the search is serial; the
+  // speedup column is against that run.
   {
-    set_parallel_threads(1);
-    const Sublattice kernel_period = Sublattice::diagonal({21, 21});
-    const auto kernel_search = [&](TorusSearchStats* stats) {
+    const Sublattice period = Sublattice::diagonal({15, 15});
+    const auto search = [&](TorusSearchStats* stats) {
       TorusSearchConfig cfg;
       cfg.stats = stats;
-      if (!all_tilings_on_torus(mixed_tetrominoes(), kernel_period,
-                                100'000, cfg)
+      if (!all_tilings_on_torus(mixed_tetrominoes(), period, 100'000, cfg)
                .empty()) {
         std::abort();  // workload must stay search-only
       }
     };
-    const bool have_avx2 = mask_kernels::avx2_ops() != nullptr;
-    TorusSearchStats stats;
-    double t_scalar = 1e300, t_avx2 = 1e300;
-    for (int round = 0; round < 3; ++round) {
-      mask_kernels::set_kernel(mask_kernels::Kernel::kScalar);
-      t_scalar = std::min(t_scalar, time_best_of(1, [&] {
-        kernel_search(&stats);
-      }));
-      if (have_avx2) {
-        mask_kernels::set_kernel(mask_kernels::Kernel::kAvx2);
-        t_avx2 = std::min(t_avx2, time_best_of(1, [&] {
-          kernel_search(&stats);
-        }));
-      }
+    double t_serial = 0.0;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                      std::size_t{4}}) {
+      set_parallel_threads(threads);
+      TorusSearchStats stats;
+      const double t = time_best_of(3, [&] { search(&stats); });
+      if (threads == 1) t_serial = t;
+      const double nodes = static_cast<double>(stats.nodes);
+      std::printf(
+          "root fan-out (S+Z on 15x15, %.0f nodes), %zu thread(s):"
+          " %.1f Mnodes/s -> %.2fx vs serial\n",
+          nodes, threads, nodes / t / 1e6, t_serial / t);
+      records().push_back({"subtree_search_rootfanout_t" +
+                               std::to_string(threads),
+                           t * 1e9 / nodes, nodes / t, t_serial / t,
+                           static_cast<double>(threads)});
     }
-    mask_kernels::set_kernel(mask_kernels::Kernel::kAuto);
-    const std::uint64_t nodes = stats.nodes;
-    std::printf(
-        "mask kernels (S+Z on 21x21, %llu nodes): scalar %.1f Mnodes/s",
-        static_cast<unsigned long long>(nodes),
-        static_cast<double>(nodes) / t_scalar / 1e6);
-    records().push_back({"mask_kernel_scalar",
-                         t_scalar * 1e9 / static_cast<double>(nodes),
-                         static_cast<double>(nodes) / t_scalar, 0.0, 1.0});
-    if (have_avx2) {
-      std::printf(", avx2 %.1f Mnodes/s -> %.2fx\n",
-                  static_cast<double>(nodes) / t_avx2 / 1e6,
-                  t_scalar / t_avx2);
-      records().push_back({"mask_kernel_avx2",
-                           t_avx2 * 1e9 / static_cast<double>(nodes),
-                           static_cast<double>(nodes) / t_avx2,
-                           t_scalar / t_avx2, 1.0});
-    } else {
-      std::printf(" (avx2 unavailable)\n");
-    }
+    set_parallel_threads(0);
   }
-
-  // Work stealing vs root-only fan-out on the skewed tree at 1/2/4
-  // threads.  Acceptance target: stealing >= 1.5x the root fan-out at 4
-  // threads on a multicore host; a single-core host necessarily reports
-  // ~1x (thread count is recorded alongside, like the sweep above).
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{4}}) {
-    set_parallel_threads(threads);
-    TorusSearchStats stats;
-    double t_root = 1e300, t_steal = 1e300;
-    std::uint64_t nodes = 0;
-    for (int round = 0; round < 3; ++round) {
-      t_root = std::min(t_root,
-                        time_best_of(1, [&] { stealing_search(1, &stats); }));
-      nodes = stats.nodes;
-      t_steal = std::min(
-          t_steal, time_best_of(1, [&] { stealing_search(0, &stats); }));
-    }
-    records().push_back({"subtree_search_rootfanout_t" +
-                             std::to_string(threads),
-                         t_root * 1e9 / static_cast<double>(nodes),
-                         static_cast<double>(nodes) / t_root, 0.0,
-                         static_cast<double>(threads)});
-    std::printf(
-        "subtree search, %zu thread(s): root fan-out %.1f Mnodes/s,"
-        " stealing %.1f Mnodes/s -> %.2fx (%llu tasks, %llu steals)%s\n",
-        threads, static_cast<double>(nodes) / t_root / 1e6,
-        static_cast<double>(stats.nodes) / t_steal / 1e6, t_root / t_steal,
-        static_cast<unsigned long long>(stats.subtree_tasks),
-        static_cast<unsigned long long>(stats.steals),
-        threads == 4 ? " (target >= 1.5x at 4 threads, multicore)" : "");
-    records().push_back({"subtree_search_stealing_t" +
-                             std::to_string(threads),
-                         t_steal * 1e9 / static_cast<double>(stats.nodes),
-                         static_cast<double>(stats.nodes) / t_steal,
-                         t_root / t_steal, static_cast<double>(threads)});
-  }
-  set_parallel_threads(0);
 
   // Planner fan-out: all six backends on one deployment, one plan_all.
   {
@@ -632,23 +557,17 @@ void BM_PeriodSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_PeriodSweep)->Arg(1)->Arg(0);
 
-// Skewed-subtree torus search; arg 0 = threads, arg 1 = max_spawn_depth
-// (1 = root-only fan-out baseline, 0 = auto stealing frontier).
-void BM_TorusSearchStealing(benchmark::State& state) {
+// Skewed-subtree torus search (one torus, root fan-out); arg 0 = threads.
+void BM_TorusSearchRootFanOut(benchmark::State& state) {
   const Sublattice period = Sublattice::diagonal({15, 15});
-  TorusSearchConfig cfg;
-  cfg.max_spawn_depth = static_cast<std::uint32_t>(state.range(1));
   set_parallel_threads(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        all_tilings_on_torus(mixed_tetrominoes(), period, 100'000, cfg));
+        all_tilings_on_torus(mixed_tetrominoes(), period, 100'000));
   }
   set_parallel_threads(0);
 }
-BENCHMARK(BM_TorusSearchStealing)
-    ->Args({1, 0})
-    ->Args({4, 1})
-    ->Args({4, 0});
+BENCHMARK(BM_TorusSearchRootFanOut)->Arg(1)->Arg(4);
 
 void BM_PlanAll(benchmark::State& state) {
   const Deployment d =

@@ -10,16 +10,10 @@ namespace latticesched {
 void Counters::merge(const Counters& other) {
   for (const CounterGroup& group : kCounterGroups) {
     for (const CounterField& f : group.fields) {
-      switch (f.merge) {
-        case MergeRule::kSum:
-          this->*f.number += other.*f.number;
-          break;
-        case MergeRule::kMax:
-          this->*f.number = std::max(this->*f.number, other.*f.number);
-          break;
-        case MergeRule::kLastNonEmpty:
-          if (!(other.*f.text).empty()) this->*f.text = other.*f.text;
-          break;
+      if (f.merge == MergeRule::kMax) {
+        this->*f.number = std::max(this->*f.number, other.*f.number);
+      } else {
+        this->*f.number += other.*f.number;
       }
     }
   }
@@ -34,10 +28,6 @@ Counters counters_between(const CacheStats& before, const CacheStats& after) {
   Counters c;
   c.cache_hits = after.tiling.hits - before.tiling.hits;
   c.cache_misses = after.tiling.misses - before.tiling.misses;
-  c.search_subtree_tasks =
-      after.tiling.search_subtree_tasks - before.tiling.search_subtree_tasks;
-  c.search_steals = after.tiling.search_steals - before.tiling.search_steals;
-  c.search_kernel = after.tiling.search_kernel;
   c.tune_hits = after.tune.hits - before.tune.hits;
   c.tune_misses = after.tune.misses - before.tune.misses;
   c.tune_searches = after.tune.searches - before.tune.searches;
@@ -58,12 +48,8 @@ std::string counters_to_json(const Counters& counters) {
   for (const CounterGroup& group : kCounterGroups) {
     os << "  \"" << group.key << "\": {";
     for (const CounterField& f : group.fields) {
-      os << (&f == group.fields.data() ? "\"" : ", \"") << f.key << "\": ";
-      if (f.text != nullptr) {
-        os << '"' << json_escape(counters.*f.text) << '"';
-      } else {
-        os << counters.*f.number;
-      }
+      os << (&f == group.fields.data() ? "\"" : ", \"") << f.key
+         << "\": " << counters.*f.number;
     }
     os << "},\n";
   }
@@ -75,11 +61,7 @@ Counters parse_counters_json(const std::string& json) {
   for (const CounterGroup& group : kCounterGroups) {
     const std::string object = json_field(json, group.key);
     for (const CounterField& f : group.fields) {
-      if (f.text != nullptr) {
-        counters.*f.text = json_field(object, f.key);
-      } else {
-        counters.*f.number = json_u64(object, f.key);
-      }
+      counters.*f.number = json_u64(object, f.key);
     }
   }
   return counters;
@@ -90,20 +72,14 @@ std::string counters_to_text(const Counters& counters,
   std::ostringstream os;
   for (const CounterGroup& group : kCounterGroups) {
     const bool zero = std::all_of(
-        group.fields.begin(), group.fields.end(), [&](const CounterField& f) {
-          return f.text != nullptr ? (counters.*f.text).empty()
-                                   : counters.*f.number == 0;
-        });
+        group.fields.begin(), group.fields.end(),
+        [&](const CounterField& f) { return counters.*f.number == 0; });
     if (zero && &group != &kCounterGroups[0]) continue;
     os << group.footer << ": ";
     if (!scope.empty()) os << scope << ": ";
     for (const CounterField& f : group.fields) {
       if (&f != group.fields.data()) os << ", ";
-      if (f.text != nullptr) {
-        os << f.unit << counters.*f.text;
-      } else {
-        os << counters.*f.number << ' ' << f.unit;
-      }
+      os << counters.*f.number << ' ' << f.unit;
     }
     os << '\n';
   }

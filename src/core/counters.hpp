@@ -25,12 +25,6 @@ struct Counters {
   /// TilingCache lookups; every miss runs a torus search.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  /// Work-stealing search counters (TorusSearchStats) and the mask
-  /// kernel the searches dispatched to ("scalar" / "avx2"; empty until
-  /// a search ran).
-  std::uint64_t search_subtree_tasks = 0;
-  std::uint64_t search_steals = 0;
-  std::string search_kernel;
   /// Region-shard counters (PlanSession::Stats): the largest partition
   /// planned, then seam sensors and stitch recolors.
   std::uint64_t regions = 0;
@@ -47,20 +41,15 @@ struct Counters {
   void merge(const Counters& other);
 };
 
-enum class MergeRule {
-  kSum,
-  kMax,
-  kLastNonEmpty,  ///< text: `other`'s value unless it is empty
-};
+enum class MergeRule { kSum, kMax };
 
 /// One counter: its key in the group's JSON object, the unit
-/// `--cache-stats` prints after it (before it, for text), the field it
-/// names (exactly one of `number` / `text`), and its merge rule.
+/// `--cache-stats` prints after it, the field it names, and its merge
+/// rule.
 struct CounterField {
   const char* key;
   const char* unit;
-  std::uint64_t Counters::*number = nullptr;
-  std::string Counters::*text = nullptr;
+  std::uint64_t Counters::*number;
   MergeRule merge = MergeRule::kSum;
 };
 
@@ -75,14 +64,8 @@ inline constexpr CounterField kCacheCounters[] = {
     {"hits", "hit(s)", &Counters::cache_hits},
     {"misses", "miss(es)", &Counters::cache_misses},
 };
-inline constexpr CounterField kSearchCounters[] = {
-    {"subtree_tasks", "subtree task(s)", &Counters::search_subtree_tasks},
-    {"steals", "steal(s)", &Counters::search_steals},
-    {"kernel", "kernel=", nullptr, &Counters::search_kernel,
-     MergeRule::kLastNonEmpty},
-};
 inline constexpr CounterField kRegionCounters[] = {
-    {"count", "region(s)", &Counters::regions, nullptr, MergeRule::kMax},
+    {"count", "region(s)", &Counters::regions, MergeRule::kMax},
     {"seam_sensors", "seam sensor(s)", &Counters::seam_sensors},
     {"stitch_recolored", "stitch recolor(s)", &Counters::stitch_recolored},
 };
@@ -96,7 +79,6 @@ inline constexpr CounterField kTuneCounters[] = {
 /// Every Counters field, in JSON order.
 inline constexpr CounterGroup kCounterGroups[] = {
     {"cache", "cache-stats", kCacheCounters},
-    {"search", "search-stats", kSearchCounters},
     {"regions", "region-stats", kRegionCounters},
     {"tuning", "tune-stats", kTuneCounters},
 };
@@ -108,8 +90,7 @@ struct CacheStats {
 };
 CacheStats cache_stats(const TilingCache& tiling, const tune::TuneCache& tune);
 
-/// The cache counters a run added between two snapshots (the kernel is
-/// the one `after` last dispatched to).
+/// The cache counters a run added between two snapshots.
 Counters counters_between(const CacheStats& before, const CacheStats& after);
 
 /// The region counters of a session.

@@ -119,10 +119,10 @@ ScenarioInstance grid_large_instance(const ScenarioParams& p) {
   label << "grid-large(sensors=" << sensors << " side=" << side
         << " r=" << p.radius << ")";
   return ScenarioInstance{
-      "grid-large", label.str(),
-      Deployment::uniform(std::move(cells),
-                          shapes::chebyshev_ball(2, p.radius)),
-      std::nullopt, 1};
+      .scenario = "grid-large",
+      .label = label.str(),
+      .deployment = Deployment::uniform(std::move(cells),
+                                        shapes::chebyshev_ball(2, p.radius))};
 }
 
 /// Grid sizes at or past this --n are sensor COUNTS (grid-large
@@ -142,10 +142,10 @@ ScenarioSpec make_grid_spec() {
         std::ostringstream label;
         label << "grid(n=" << p.n << " r=" << p.radius << ")";
         return ScenarioInstance{
-            "grid", label.str(),
-            Deployment::grid(Box::cube(2, 0, p.n - 1),
-                             shapes::chebyshev_ball(2, p.radius)),
-            std::nullopt, 1};
+            .scenario = "grid",
+            .label = label.str(),
+            .deployment = Deployment::grid(
+                Box::cube(2, 0, p.n - 1), shapes::chebyshev_ball(2, p.radius))};
       }};
 }
 
@@ -174,9 +174,10 @@ ScenarioSpec make_hex_spec() {
         std::ostringstream label;
         label << "hex(n=" << p.n << ")";
         return ScenarioInstance{
-            "hex", label.str(),
-            Deployment::grid(Box::centered(2, p.n / 2), ball), std::nullopt,
-            1, std::move(hex)};
+            .scenario = "hex",
+            .label = label.str(),
+            .deployment = Deployment::grid(Box::centered(2, p.n / 2), ball),
+            .lattice = std::move(hex)};
       }};
 }
 
@@ -191,10 +192,10 @@ ScenarioSpec make_cube3d_spec() {
         std::ostringstream label;
         label << "cube3d(n=" << p.n << " r=" << p.radius << ")";
         return ScenarioInstance{
-            "cube3d", label.str(),
-            Deployment::grid(Box::cube(3, 0, p.n - 1),
-                             shapes::chebyshev_ball(3, p.radius)),
-            std::nullopt, 1};
+            .scenario = "cube3d",
+            .label = label.str(),
+            .deployment = Deployment::grid(
+                Box::cube(3, 0, p.n - 1), shapes::chebyshev_ball(3, p.radius))};
       }};
 }
 
@@ -213,10 +214,11 @@ ScenarioSpec make_mobile_spec() {
               << " d=" << fmt_density(p.density) << " seed=" << p.seed
               << ")";
         return ScenarioInstance{
-            "mobile", label.str(),
-            Deployment::uniform(random_cells(p.n, p.seed, p.density),
-                                shapes::l1_ball(2, p.radius)),
-            std::nullopt, 1};
+            .scenario = "mobile",
+            .label = label.str(),
+            .deployment =
+                Deployment::uniform(random_cells(p.n, p.seed, p.density),
+                                    shapes::l1_ball(2, p.radius))};
       }};
 }
 
@@ -231,8 +233,10 @@ ScenarioSpec make_figure5_spec() {
             Deployment::from_tiling(tiling, Box::centered(2, p.n / 2));
         std::ostringstream label;
         label << "figure5(n=" << p.n << ")";
-        return ScenarioInstance{"figure5", label.str(), std::move(d),
-                                std::move(tiling), 1};
+        return ScenarioInstance{.scenario = "figure5",
+                                .label = label.str(),
+                                .deployment = std::move(d),
+                                .tiling = std::move(tiling)};
       }};
 }
 
@@ -248,8 +252,10 @@ ScenarioSpec make_antennas_spec() {
             Deployment::from_tiling(tiling, Box::centered(2, p.n / 2));
         std::ostringstream label;
         label << "antennas(n=" << p.n << ")";
-        return ScenarioInstance{"antennas", label.str(), std::move(d),
-                                std::move(tiling), 1};
+        return ScenarioInstance{.scenario = "antennas",
+                                .label = label.str(),
+                                .deployment = std::move(d),
+                                .tiling = std::move(tiling)};
       }};
 }
 
@@ -267,10 +273,11 @@ ScenarioSpec make_multichannel_spec() {
         label << "multichannel(n=" << p.n << " r=" << p.radius
               << " c=" << channels << ")";
         return ScenarioInstance{
-            "multichannel", label.str(),
-            Deployment::grid(Box::cube(2, 0, p.n - 1),
-                             shapes::chebyshev_ball(2, p.radius)),
-            std::nullopt, channels};
+            .scenario = "multichannel",
+            .label = label.str(),
+            .deployment = Deployment::grid(
+                Box::cube(2, 0, p.n - 1), shapes::chebyshev_ball(2, p.radius)),
+            .channels = channels};
       }};
 }
 
@@ -316,10 +323,11 @@ ScenarioSpec make_grid_failures_spec() {
         label << "grid-failures(n=" << p.n << " r=" << p.radius
               << " seed=" << p.seed << " steps=" << steps << ")";
         return ScenarioInstance{
-            "grid-failures", label.str(),
-            Deployment::grid(Box::cube(2, 0, p.n - 1),
-                             shapes::chebyshev_ball(2, p.radius)),
-            std::nullopt, 1, std::nullopt, std::move(trace)};
+            .scenario = "grid-failures",
+            .label = label.str(),
+            .deployment = Deployment::grid(
+                Box::cube(2, 0, p.n - 1), shapes::chebyshev_ball(2, p.radius)),
+            .trace = std::move(trace)};
       }};
 }
 
@@ -412,10 +420,12 @@ ScenarioSpec make_mobile_churn_spec() {
               << " d=" << fmt_density(p.density) << " seed=" << p.seed
               << " steps=" << steps << ")";
         return ScenarioInstance{
-            "mobile-churn", label.str(),
-            Deployment::uniform(random_cells(p.n, p.seed, p.density),
-                                shapes::l1_ball(2, p.radius)),
-            std::nullopt, 1, std::nullopt, std::move(trace)};
+            .scenario = "mobile-churn",
+            .label = label.str(),
+            .deployment =
+                Deployment::uniform(random_cells(p.n, p.seed, p.density),
+                                    shapes::l1_ball(2, p.radius)),
+            .trace = std::move(trace)};
       }};
 }
 
@@ -444,10 +454,11 @@ ScenarioSpec make_radius_degradation_spec() {
         label << "radius-degradation(n=" << p.n << " r=" << r0
               << " steps=" << steps << ")";
         return ScenarioInstance{
-            "radius-degradation", label.str(),
-            Deployment::grid(Box::cube(2, 0, p.n - 1),
-                             shapes::chebyshev_ball(2, r0)),
-            std::nullopt, 1, std::nullopt, std::move(trace)};
+            .scenario = "radius-degradation",
+            .label = label.str(),
+            .deployment = Deployment::grid(Box::cube(2, 0, p.n - 1),
+                                           shapes::chebyshev_ball(2, r0)),
+            .trace = std::move(trace)};
       }};
 }
 
@@ -492,10 +503,11 @@ ScenarioSpec make_staged_rollout_spec() {
         label << "staged-rollout(n=" << p.n << " r=" << p.radius
               << " steps=" << steps << ")";
         return ScenarioInstance{
-            "staged-rollout", label.str(),
-            Deployment::uniform(std::move(initial),
-                                shapes::chebyshev_ball(2, p.radius)),
-            std::nullopt, 1, std::nullopt, std::move(trace)};
+            .scenario = "staged-rollout",
+            .label = label.str(),
+            .deployment = Deployment::uniform(
+                std::move(initial), shapes::chebyshev_ball(2, p.radius)),
+            .trace = std::move(trace)};
       }};
 }
 
@@ -514,10 +526,11 @@ ScenarioSpec make_random_subset_spec() {
               << " d=" << fmt_density(p.density) << " seed=" << p.seed
               << ")";
         return ScenarioInstance{
-            "random-subset", label.str(),
-            Deployment::uniform(random_cells(p.n, p.seed, p.density),
-                                shapes::chebyshev_ball(2, p.radius)),
-            std::nullopt, 1};
+            .scenario = "random-subset",
+            .label = label.str(),
+            .deployment =
+                Deployment::uniform(random_cells(p.n, p.seed, p.density),
+                                    shapes::chebyshev_ball(2, p.radius))};
       }};
 }
 

@@ -58,15 +58,16 @@ struct ScenarioInstance {
   std::string scenario;          ///< registry name
   std::string label;             ///< e.g. "grid(n=12 r=1)" — report key
   Deployment deployment;
-  std::optional<Tiling> tiling;  ///< when the deployment came from one
+  /// The tiling the deployment came from, when it came from one.
+  std::optional<Tiling> tiling = std::nullopt;
   std::uint32_t channels = 1;    ///< channels the plan should use
   /// Euclidean geometry of the coordinates when it is not the square
   /// lattice (the hex scenario); feeds PlanRequest::lattice so the
   /// mobile backend's Voronoi cells match the deployment.
-  std::optional<Lattice> lattice;
+  std::optional<Lattice> lattice = std::nullopt;
   /// Dynamic scenarios: the timestamped delta sequence a PlanSession
   /// replays on top of `deployment` (empty for static scenarios).
-  MutationTrace trace;
+  MutationTrace trace = {};
 };
 
 struct ScenarioParamDoc {

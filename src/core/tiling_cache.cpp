@@ -89,6 +89,17 @@ std::optional<Tiling> TilingCache::lookup_or_run(
     }
   }
 
+  // Adds the entry unless a racer already did; the caller holds mu_.
+  // Returns whether this call added it.
+  const auto insert = [&](const std::optional<Tiling>& tiling) {
+    std::vector<Entry>& bucket = entries_[hash];
+    for (const Entry& entry : bucket) {
+      if (entry.key == key) return false;
+    }
+    bucket.push_back(Entry{std::move(key), tiling});
+    return true;
+  };
+
   // Memory miss: consult the persisted entry (outside the lock — file IO
   // must not serialize the whole cache; racing loaders insert the same
   // result and the duplicate is dropped).  A disk load is a HIT — the
@@ -97,29 +108,20 @@ std::optional<Tiling> TilingCache::lookup_or_run(
     if (std::optional<std::optional<Tiling>> loaded =
             load_from_disk(key, hash)) {
       std::lock_guard<std::mutex> lock(mu_);
-      std::vector<Entry>& bucket = entries_[hash];
-      bool present = false;
-      for (const Entry& entry : bucket) {
-        if (entry.key == key) {
-          present = true;
-          break;
-        }
-      }
-      if (!present) bucket.push_back(Entry{std::move(key), *loaded});
+      insert(*loaded);
       ++hits_;
       ++disk_hits_;
       return *loaded;
     }
   }
 
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++misses_;
-  }
-
   // Search outside the lock: a cold key may be searched by several racing
   // threads, but the search is deterministic, so every racer computes the
-  // same tiling and the duplicate insert below is dropped.
+  // same tiling.  The racer whose result is inserted counts the miss and
+  // the others count hits, so the counters equal a serial run's.  Racers
+  // do not wait for an in-flight search: a pool worker waiting on a
+  // search whose thread then blocks on the pool's region lock would
+  // deadlock.
   TorusSearchConfig local = config;
   TorusSearchStats stats;  // the caller's stats pointer must not leak in
   local.stats = &stats;
@@ -132,28 +134,14 @@ std::optional<Tiling> TilingCache::lookup_or_run(
   // node budget: a truncated failure depends on the engine and the
   // parallel fan-out (the per-subtree budget can explore more than the
   // serial search), so memoizing it could deny a tiling that a later,
-  // differently-shaped search would find.
+  // differently-shaped search would find.  Such a search stays a miss.
   const bool cacheable = tiling.has_value() || !stats.budget_exhausted;
-  {
-    // Fold the search's scheduler counters into the cache totals — the
-    // cache is where per-batch deltas are read from (PlanService).
-    std::lock_guard<std::mutex> lock(mu_);
-    search_subtree_tasks_ += stats.subtree_tasks;
-    search_steals_ += stats.steals;
-    search_kernel_ = stats.kernel;
-  }
-  if (cacheable) {
-    if (!persist_dir_.empty()) store_to_disk(key, hash, tiling);
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<Entry>& bucket = entries_[hash];
-    bool present = false;
-    for (const Entry& entry : bucket) {
-      if (entry.key == key) {
-        present = true;
-        break;
-      }
-    }
-    if (!present) bucket.push_back(Entry{std::move(key), tiling});
+  if (cacheable && !persist_dir_.empty()) store_to_disk(key, hash, tiling);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!cacheable || insert(tiling)) {
+    ++misses_;
+  } else {
+    ++hits_;
   }
   return tiling;
 }
@@ -501,9 +489,6 @@ TilingCache::Stats TilingCache::stats() const {
   s.misses = misses_;
   s.disk_hits = disk_hits_;
   s.checksum_failures = checksum_failures_;
-  s.search_subtree_tasks = search_subtree_tasks_;
-  s.search_steals = search_steals_;
-  s.search_kernel = search_kernel_;
   for (const auto& [hash, bucket] : entries_) s.entries += bucket.size();
   return s;
 }
@@ -515,9 +500,6 @@ void TilingCache::clear() {
   misses_ = 0;
   disk_hits_ = 0;
   checksum_failures_ = 0;
-  search_subtree_tasks_ = 0;
-  search_steals_ = 0;
-  search_kernel_ = "";
 }
 
 }  // namespace latticesched

@@ -17,7 +17,9 @@
 // Thread safety: lookups and inserts lock a mutex; the search itself
 // runs outside the lock, so two threads racing on the same cold key may
 // both search (deterministically producing the same tiling — the second
-// insert is a no-op).  Hit/miss counters are surfaced in batch reports.
+// insert is a no-op).  Only the racer that inserts counts a miss; the
+// others count hits, so the hit/miss counters surfaced in batch reports
+// do not depend on the thread count.
 //
 // Persistence: set_persist_dir() spills every cacheable entry to a
 // directory (one versioned text file per key, named by the canonical
@@ -61,17 +63,6 @@ class TilingCache {
     /// (unlinked) and recomputed, so a nonzero count never means a
     /// wrong answer.
     std::uint64_t checksum_failures = 0;
-    /// Work-stealing search counters, accumulated over every search this
-    /// cache actually ran (misses; hits run no search).  See
-    /// TorusSearchStats: subtree tasks executed by the parallel dense
-    /// engine and how many of them a worker stole from another worker's
-    /// deque.  Zero when every search ran serially.
-    std::uint64_t search_subtree_tasks = 0;
-    std::uint64_t search_steals = 0;
-    /// Mask-kernel implementation of the most recent search ("scalar" /
-    /// "avx2"; empty until a search ran).  The kernel is a process-wide
-    /// dispatch decision, so "most recent" is "all of them" in practice.
-    std::string search_kernel;
     std::size_t entries = 0;  ///< in-memory entries only
     double hit_rate() const {
       const std::uint64_t total = hits + misses;
@@ -189,9 +180,6 @@ class TilingCache {
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t disk_hits_ = 0;
-  std::uint64_t search_subtree_tasks_ = 0;
-  std::uint64_t search_steals_ = 0;
-  const char* search_kernel_ = "";  ///< static storage (mask_kernels Ops)
   /// Mutable: bumped from the const load path, under mu_.
   mutable std::uint64_t checksum_failures_ = 0;
   std::string persist_dir_;  ///< "" = persistence disabled

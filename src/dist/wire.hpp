@@ -52,7 +52,10 @@ namespace latticesched::dist {
 /// counters_to_json groups ("cache", "search", "regions", "tuning")
 /// plus a "session" object — so a session now reports its tuning
 /// counters; a v7 client cannot parse a v8 CLOSE body.
-inline constexpr int kProtocolVersion = 8;
+/// v9: the batch-report footer and the CLOSE body lost the "search"
+/// group (the work-stealing search and the AVX2 kernels it counted are
+/// gone) — a v8 peer would reject a v9 body for the missing group.
+inline constexpr int kProtocolVersion = 9;
 
 /// Frames larger than this are a protocol error, not an allocation —
 /// guards the reader against garbage length prefixes.

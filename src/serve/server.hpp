@@ -10,7 +10,7 @@
 // result-identical to a local PlanSession over the same deltas (the
 // session IS a PlanSession; pinned by tests/test_serve.cpp).
 //
-// Frame schemas (wire protocol v8; every body is text, frames are the
+// Frame schemas (wire protocol v9; every body is text, frames are the
 // length-prefixed format of src/dist/wire.hpp).  On accept the server
 // sends HELLO `{"protocol": <dist::kProtocolVersion>, "role":
 // "server"}`; a client verifies the version before its first request.

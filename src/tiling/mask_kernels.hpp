@@ -1,24 +1,11 @@
-// Vectorizable footprint-mask kernels of the dense torus search.
+// Footprint-mask kernels of the dense torus search.
 //
 // The dense engine's per-node work is three loops over `words`-length
 // 64-bit coverage masks: the placement feasibility test (any overlapping
 // bit between the coverage bitset and the footprint mask), the
 // apply/undo toggle (word-wise XOR), and the first-uncovered-cell scan
-// (first zero bit at or after a cursor).  This header factors them into
-// a dispatch table with a portable scalar implementation and — when the
-// build enables LATTICESCHED_SIMD and the host CPU supports it — an
-// AVX2 implementation working in 256-bit (4-word) lanes:
-// `_mm256_testz_si256` for the overlap test, lane-wise XOR for the
-// toggle, and an all-ones lane compare + movemask + ctz for the scan.
-//
-// Selection is a RUNTIME decision (CPUID via __builtin_cpu_supports), so
-// one binary serves any x86-64 host: the AVX2 code lives in its own
-// translation unit compiled with -mavx2 (see mask_kernels_avx2.cpp and
-// the LATTICESCHED_SIMD option in CMakeLists.txt) and is only ever
-// called through the dispatch table after the CPUID check.  Both
-// implementations are bit-identical by construction; the cross-check
-// tests in tests/test_mask_kernels.cpp pin it on randomized masks,
-// including tail words at cells % 64 != 0.
+// (first zero bit at or after a cursor).  They are plain inline loops;
+// tests/test_mask_kernels.cpp pins their contracts.
 #pragma once
 
 #include <cstdint>
@@ -26,29 +13,7 @@
 namespace latticesched {
 namespace mask_kernels {
 
-/// One kernel implementation.  All three functions operate on
-/// `words`-length arrays of 64-bit mask words.
-struct Ops {
-  /// Display name ("scalar", "avx2"); surfaced as
-  /// TorusSearchStats::kernel.
-  const char* name;
-  /// True when (cover[i] & mask[i]) != 0 for any i < words.
-  bool (*any_overlap)(const std::uint64_t* cover, const std::uint64_t* mask,
-                      std::uint32_t words);
-  /// cover[i] ^= mask[i] for every i < words (applies or undoes a
-  /// disjoint placement footprint).
-  void (*toggle)(std::uint64_t* cover, const std::uint64_t* mask,
-                 std::uint32_t words);
-  /// Index of the first ZERO bit at or after `cursor` (cursor <
-  /// words * 64), or words * 64 when every bit from cursor on is set.
-  std::uint32_t (*first_uncovered)(const std::uint64_t* cover,
-                                   std::uint32_t words, std::uint32_t cursor);
-};
-
-// ---------------------------------------------------------------------------
-// Portable scalar reference (also inlined by non-dispatch call sites)
-// ---------------------------------------------------------------------------
-
+/// True when (cover[i] & mask[i]) != 0 for any i < words.
 inline bool any_overlap_scalar(const std::uint64_t* cover,
                                const std::uint64_t* mask,
                                std::uint32_t words) {
@@ -58,11 +23,15 @@ inline bool any_overlap_scalar(const std::uint64_t* cover,
   return false;
 }
 
+/// cover[i] ^= mask[i] for every i < words (applies or undoes a disjoint
+/// placement footprint).
 inline void toggle_scalar(std::uint64_t* cover, const std::uint64_t* mask,
                           std::uint32_t words) {
   for (std::uint32_t i = 0; i < words; ++i) cover[i] ^= mask[i];
 }
 
+/// Index of the first ZERO bit at or after `cursor` (cursor <
+/// words * 64), or words * 64 when every bit from cursor on is set.
 inline std::uint32_t first_uncovered_scalar(const std::uint64_t* cover,
                                             std::uint32_t words,
                                             std::uint32_t cursor) {
@@ -74,30 +43,6 @@ inline std::uint32_t first_uncovered_scalar(const std::uint64_t* cover,
   }
   return w * 64 + static_cast<std::uint32_t>(__builtin_ctzll(inv));
 }
-
-/// The scalar dispatch table (always available).
-const Ops& scalar_ops();
-
-/// The AVX2 dispatch table, or nullptr when the build did not enable
-/// LATTICESCHED_SIMD or the host CPU lacks AVX2.  Never dereference the
-/// function pointers on a non-AVX2 host.
-const Ops* avx2_ops();
-
-/// Kernel selection policy.  kAuto picks the widest available
-/// implementation, overridable by the LATTICESCHED_SIMD environment
-/// variable ("scalar" forces the portable path, "avx2" requests AVX2).
-enum class Kernel { kAuto, kScalar, kAvx2 };
-
-/// Process-wide override (tests and benches compare kernels with it).
-/// Returns false — leaving the previous setting in place — when kAvx2 is
-/// requested but unavailable.
-bool set_kernel(Kernel k);
-Kernel kernel_setting();
-
-/// The table the dense engine uses, honoring set_kernel() and the
-/// LATTICESCHED_SIMD environment variable, falling back to scalar when
-/// AVX2 is unavailable.
-const Ops& active_ops();
 
 }  // namespace mask_kernels
 }  // namespace latticesched

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cassert>
 #include <cstddef>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -225,7 +224,6 @@ struct DenseState {
   const std::vector<Prototile>* prototiles = nullptr;
   const Sublattice* period = nullptr;
   const DenseTables* tables = nullptr;
-  const mask_kernels::Ops* ops = nullptr;  // dispatched mask kernels
   std::vector<std::uint64_t> covered;  // bitset over cell ids
   std::uint32_t covered_count = 0;
   std::vector<std::pair<Point, std::uint32_t>> placements;
@@ -235,23 +233,22 @@ struct DenseState {
   bool require_all = false;
   std::size_t result_limit = 1;
   std::vector<Tiling>* results = nullptr;
-  // Parallel subtree fan-out only: the subtree with sweep rank
-  // `subtree_rank` may abandon its search once an earlier-ranked subtree
-  // alone satisfied the result limit (the abandoned results are provably
-  // beyond the limit cut, so the final output is unchanged — see
-  // run_search_dense_tasks).
-  const std::atomic<std::uint64_t>* satisfied = nullptr;
-  std::uint64_t subtree_rank = 0;
-  // Parallel subtree fan-out only: node-count checkpoint per emitted
-  // result (see emit_dense).
+  // Parallel root fan-out only: subtree `subtree_index` may abandon its
+  // search once an earlier subtree alone satisfied the result limit (the
+  // abandoned results are provably beyond the limit cut, so the final
+  // output is unchanged — see run_search_dense_parallel).
+  const std::atomic<std::uint32_t>* satisfied = nullptr;
+  std::uint32_t subtree_index = 0;
+  // Parallel root fan-out only: node-count checkpoint per emitted result
+  // (see emit_dense).
   std::vector<std::uint64_t>* result_nodes = nullptr;
 };
 
 void emit_dense(DenseState& st) {
   st.results->push_back(
       Tiling::periodic(*st.prototiles, *st.period, st.placements));
-  // Parallel subtree fan-out only: checkpoint the node count at each
-  // emission so the rank-ordered accumulation can charge a subtree that
+  // Parallel root fan-out only: checkpoint the node count at each
+  // emission so the slot-ordered accumulation can charge a subtree that
   // straddles the result-limit cut exactly the nodes the serial DFS
   // would have spent before stopping there.
   if (st.result_nodes != nullptr) st.result_nodes->push_back(st.nodes);
@@ -262,9 +259,8 @@ void emit_dense(DenseState& st) {
 // coverage, so the scan never revisits the prefix.
 bool search_dense(DenseState& st, std::uint32_t cursor) {
   const DenseTables& t = *st.tables;
-  const mask_kernels::Ops& ops = *st.ops;
   if (st.satisfied != nullptr &&
-      st.subtree_rank > st.satisfied->load(std::memory_order_relaxed)) {
+      st.subtree_index > st.satisfied->load(std::memory_order_relaxed)) {
     return true;  // an earlier subtree already produced every needed result
   }
   if (st.covered_count == t.cells) {
@@ -280,8 +276,8 @@ bool search_dense(DenseState& st, std::uint32_t cursor) {
   // last word are never set, and covered_count < cells guarantees a zero
   // bit exists at or after `cursor`; the >= cells guard below is cheap
   // release-build safety only.
-  const std::uint32_t first =
-      ops.first_uncovered(st.covered.data(), t.words, cursor);
+  const std::uint32_t first = mask_kernels::first_uncovered_scalar(
+      st.covered.data(), t.words, cursor);
   if (first >= t.cells) return false;
 
   const Candidate* cand =
@@ -292,8 +288,10 @@ bool search_dense(DenseState& st, std::uint32_t cursor) {
     const Footprint& fp = t.footprints[c.footprint];
     if (!fp.self_ok) continue;
     const std::uint64_t* mask = &t.mask_words[fp.mask_begin];
-    if (ops.any_overlap(st.covered.data(), mask, t.words)) continue;
-    ops.toggle(st.covered.data(), mask, t.words);
+    if (mask_kernels::any_overlap_scalar(st.covered.data(), mask, t.words)) {
+      continue;
+    }
+    mask_kernels::toggle_scalar(st.covered.data(), mask, t.words);
     st.covered_count += fp.size;
     st.placements.emplace_back(t.cell_points[c.translate_class],
                                c.prototile);
@@ -302,10 +300,29 @@ bool search_dense(DenseState& st, std::uint32_t cursor) {
     --st.uses[c.prototile];
     st.placements.pop_back();
     st.covered_count -= fp.size;
-    ops.toggle(st.covered.data(), mask, t.words);
+    mask_kernels::toggle_scalar(st.covered.data(), mask, t.words);
     if (done) return true;
   }
   return false;
+}
+
+// The state of a search on the empty torus, emitting into `results`.
+DenseState empty_state(const std::vector<Prototile>& prototiles,
+                       const Sublattice& period, const DenseTables& tables,
+                       const TorusSearchConfig& config, std::size_t limit,
+                       std::vector<Tiling>* results) {
+  DenseState st;
+  st.prototiles = &prototiles;
+  st.period = &period;
+  st.tables = &tables;
+  st.covered.assign(tables.words, 0);
+  st.uses.assign(prototiles.size(), 0);
+  st.placements.reserve(tables.cells);
+  st.node_limit = config.node_limit;
+  st.require_all = config.require_all_prototiles;
+  st.result_limit = limit;
+  st.results = results;
+  return st;
 }
 
 std::vector<Tiling> run_search_dense(
@@ -313,334 +330,108 @@ std::vector<Tiling> run_search_dense(
     const TorusSearchConfig& config, std::size_t limit) {
   std::vector<Tiling> results;
   const DenseTables tables = build_tables(prototiles, period);
-  const mask_kernels::Ops& ops = mask_kernels::active_ops();
-  DenseState st;
-  st.prototiles = &prototiles;
-  st.period = &period;
-  st.tables = &tables;
-  st.ops = &ops;
-  st.covered.assign(tables.words, 0);
-  st.uses.assign(prototiles.size(), 0);
-  st.placements.reserve(tables.cells);
-  st.node_limit = config.node_limit;
-  st.require_all = config.require_all_prototiles;
-  st.result_limit = limit;
-  st.results = &results;
+  DenseState st =
+      empty_state(prototiles, period, tables, config, limit, &results);
   search_dense(st, 0);
   assert(st.nodes <= config.node_limit + 1);
   if (config.stats != nullptr) {
-    *config.stats = TorusSearchStats{};
     config.stats->nodes = st.nodes;
     config.stats->budget_exhausted = st.nodes > config.node_limit;
-    config.stats->kernel = ops.name;
   }
   return results;
 }
 
 // ---------------------------------------------------------------------------
-// Parallel dense engine on the work-stealing task scheduler.
+// Parallel dense engine: root fan-out.
 //
-// The serial DFS explores the candidate subtrees of the first uncovered
-// cell strictly in slot order; the subtrees are independent, so their
-// result streams concatenate (in that order) to the exact serial output.
-// The parallel engine turns every search node shallower than a spawn
-// frontier `spawn_depth` into an *expansion task* that spawns one child
-// task per feasible candidate slot; at the frontier a *leaf task* runs
-// the ordinary serial recursion over its whole subtree.  Root-only
-// fan-out (the old engine, spawn_depth = 1) quantizes badly when the
-// root has few or skewed subtrees — one giant subtree pins one worker
-// while the rest idle; deeper frontiers split the big subtree into many
-// stealable tasks.
+// The serial DFS explores the candidate subtrees of the root (cell 0, the
+// first uncovered cell of the empty torus) strictly in slot order; the
+// subtrees are independent, so their result streams concatenate in that
+// order to the exact serial output.  parallel_for runs one task per root
+// slot, each with its own node budget (the documented per-subtree scope
+// of node_limit, pinned by tests/test_node_budget.cpp).
 //
-// Determinism does not come from the scheduler (stealing is racy by
-// design) but from SWEEP RANKS: every task carries the rank of its
-// subtree in serial DFS preorder, encoded as a fixed-width base-(K+1)
-// number (K = cand_stride) with one digit per frontier level — digit of
-// level d is the candidate slot + 1, 0 for levels below the task.  A
-// task's rank is smaller than every rank in its subtree, which in turn
-// is smaller than the next sibling's rank, so sorting the finished
-// tasks by rank and concatenating their results reproduces the serial
-// stream bit for bit, no matter which worker ran what when.
+// Node accounting mirrors the serial engine: each root trial is one node
+// charged to its subtree, and the slot-ordered accumulation stops at the
+// result-limit cut just as the serial DFS stops — a subtree straddling
+// the cut is charged only the nodes up to its needed-th emission (the
+// per-result checkpoints of emit_dense).  With an ample budget the total
+// equals the serial node count at any thread count, result-limit cuts
+// included (tests/test_parallel.cpp).
 //
-// Node accounting mirrors the serial engine exactly: every candidate
-// trial is charged to the subtree it opens (expansion trials become the
-// child's `arrival` node — infeasible slots get a 1-node tombstone
-// record), each leaf task counts its own recursion, and the final
-// rank-ordered accumulation stops at the result-limit cut just as the
-// serial DFS stops.  With an ample node budget the total equals the
-// serial node count for ANY thread count and ANY spawn depth (pinned by
-// tests/test_stealing_determinism.cpp); under a truncating budget each
-// subtree task owns a full node_limit, so a truncated parallel search
-// explores more nodes than a truncated serial one, never fewer
-// (tests/test_node_budget.cpp).
-//
-// Cancellation is the old rule generalized to ranks: `satisfied` is an
-// atomic min over ranks of tasks that ALONE produced `limit` results;
-// any task ranked past it may abandon, because everything it could emit
-// provably falls beyond the limit cut.
+// Cancellation: `satisfied` is an atomic min over slots whose subtree
+// ALONE produced `limit` results; any later slot may abandon, because
+// everything it could emit falls beyond the limit cut.
 // ---------------------------------------------------------------------------
 
-struct TaskFrame {
-  std::vector<std::uint64_t> covered;
-  std::vector<std::pair<Point, std::uint32_t>> placements;
-  std::vector<std::size_t> uses;
-  std::uint32_t covered_count = 0;
-  std::uint32_t cursor = 0;  // all cells below it are covered
-  std::uint32_t depth = 0;   // frontier levels above this task
-  std::uint64_t rank = 0;    // serial DFS preorder key
-  std::uint64_t arrival = 0;  // trials charged by the parent (the spawn
-                              // trial; 0 for the root)
-};
-
-struct SubtreeRecord {
-  std::uint64_t rank = 0;
-  std::uint64_t nodes = 0;
-  bool exhausted = false;
-  std::vector<Tiling> results;
-  // results[i] was emitted after result_nodes[i] of this record's nodes
-  // (arrival included).  When the record straddles the result-limit cut
-  // the accumulation charges result_nodes[k-1] for its first k results
-  // instead of `nodes` — exactly where the serial DFS would have stopped.
-  std::vector<std::uint64_t> result_nodes;
-};
-
-struct TaskShared {
-  const std::vector<Prototile>* prototiles = nullptr;
-  const Sublattice* period = nullptr;
-  const DenseTables* tables = nullptr;
-  const mask_kernels::Ops* ops = nullptr;
-  std::uint64_t node_limit = 0;
-  bool require_all = false;
-  std::size_t limit = 1;
-  std::uint32_t spawn_depth = 1;
-  // stride[d] = (cand_stride + 1)^(spawn_depth - 1 - d): the rank weight
-  // of a candidate slot chosen at frontier level d.
-  std::vector<std::uint64_t> stride;
-  std::atomic<std::uint64_t> satisfied{~std::uint64_t{0}};
-  std::mutex mu;  // guards records (one push per finished task)
-  std::vector<SubtreeRecord> records;
-};
-
-void note_satisfied(TaskShared& sh, std::uint64_t rank) {
-  std::uint64_t cur = sh.satisfied.load(std::memory_order_relaxed);
-  while (rank < cur && !sh.satisfied.compare_exchange_weak(
-                           cur, rank, std::memory_order_relaxed)) {
-  }
-}
-
-void push_record(TaskShared& sh, SubtreeRecord rec) {
-  std::lock_guard<std::mutex> lock(sh.mu);
-  sh.records.push_back(std::move(rec));
-}
-
-void run_subtree_task(TaskShared& sh, TaskContext& ctx, TaskFrame frame) {
-  const DenseTables& t = *sh.tables;
-  SubtreeRecord rec;
-  rec.rank = frame.rank;
-  rec.nodes = frame.arrival;
-  if (frame.rank > sh.satisfied.load(std::memory_order_relaxed)) {
-    // Abandoned: an earlier-ranked subtree alone reached the result
-    // limit.  The spawn trial still happened and still counts.
-    push_record(sh, std::move(rec));
-    return;
-  }
-  if (frame.depth >= sh.spawn_depth) {
-    // Leaf task: ordinary serial recursion over the whole subtree, with
-    // its own node budget (the documented per-subtree budget scope).
-    DenseState st;
-    st.prototiles = sh.prototiles;
-    st.period = sh.period;
-    st.tables = &t;
-    st.ops = sh.ops;
-    st.covered = std::move(frame.covered);
-    st.covered_count = frame.covered_count;
-    st.placements = std::move(frame.placements);
-    st.uses = std::move(frame.uses);
-    st.node_limit = sh.node_limit;
-    st.require_all = sh.require_all;
-    st.result_limit = sh.limit;
-    st.results = &rec.results;
-    st.satisfied = &sh.satisfied;
-    st.subtree_rank = frame.rank;
-    st.result_nodes = &rec.result_nodes;
-    search_dense(st, frame.cursor);
-    assert(st.nodes <= sh.node_limit + 1);
-    for (std::uint64_t& checkpoint : rec.result_nodes) {
-      checkpoint += frame.arrival;
-    }
-    rec.nodes += st.nodes;
-    rec.exhausted = st.nodes > sh.node_limit;
-    if (rec.results.size() >= sh.limit) note_satisfied(sh, frame.rank);
-    push_record(sh, std::move(rec));
-    return;
-  }
-  // Expansion task: the serial engine's per-node body, except feasible
-  // candidates spawn child tasks instead of recursing.
-  if (frame.covered_count == t.cells) {
-    bool ok = true;
-    if (sh.require_all) {
-      for (std::size_t k = 0; k < frame.uses.size(); ++k) {
-        if (frame.uses[k] == 0) ok = false;
-      }
-    }
-    if (ok) {
-      rec.results.push_back(
-          Tiling::periodic(*sh.prototiles, *sh.period, frame.placements));
-      rec.result_nodes.push_back(rec.nodes);
-      if (rec.results.size() >= sh.limit) note_satisfied(sh, frame.rank);
-    }
-    push_record(sh, std::move(rec));
-    return;
-  }
-  const std::uint32_t first =
-      sh.ops->first_uncovered(frame.covered.data(), t.words, frame.cursor);
-  if (first >= t.cells) {  // unreachable; mirrors search_dense's guard
-    push_record(sh, std::move(rec));
-    return;
-  }
-  const Candidate* cand =
-      &t.candidates[static_cast<std::size_t>(first) * t.cand_stride];
-  const std::uint64_t stride = sh.stride[frame.depth];
-  // Reverse slot order: the owner's LIFO pop then continues with slot 0
-  // — the subtree the serial DFS would explore next — while thieves
-  // take the later slots from the top of the deque.
-  for (std::uint32_t s = t.cand_stride; s-- > 0;) {
-    const std::uint64_t child_rank =
-        frame.rank + (std::uint64_t{s} + 1) * stride;
-    const Candidate& c = cand[s];
-    const Footprint& fp = t.footprints[c.footprint];
-    const std::uint64_t* mask = &t.mask_words[fp.mask_begin];
-    if (!fp.self_ok ||
-        sh.ops->any_overlap(frame.covered.data(), mask, t.words)) {
-      // Infeasible trial: a 1-node tombstone keeps the rank-ordered node
-      // accumulation identical to the serial trial sequence.
-      SubtreeRecord dead;
-      dead.rank = child_rank;
-      dead.nodes = 1;
-      push_record(sh, std::move(dead));
-      continue;
-    }
-    TaskFrame child;
-    child.covered = frame.covered;
-    sh.ops->toggle(child.covered.data(), mask, t.words);
-    child.covered_count = frame.covered_count + fp.size;
-    child.placements = frame.placements;
-    child.placements.emplace_back(t.cell_points[c.translate_class],
-                                  c.prototile);
-    child.uses = frame.uses;
-    ++child.uses[c.prototile];
-    child.cursor = first + 1;
-    child.depth = frame.depth + 1;
-    child.rank = child_rank;
-    child.arrival = 1;
-    ctx.spawn([&sh, child = std::move(child)](TaskContext& sub) mutable {
-      run_subtree_task(sh, sub, std::move(child));
-    });
-  }
-  push_record(sh, std::move(rec));
-}
-
-// Frontier depth: deep enough that the task count (~cand_stride^depth)
-// comfortably exceeds the worker count (so stealing can balance skewed
-// subtrees), shallow enough that task bookkeeping stays negligible.
-// Tiny tori stay at the root-only fan-out — their whole search is
-// shorter than the balancing would pay for.
-std::uint32_t pick_spawn_depth(const DenseTables& t, std::size_t threads,
-                               const TorusSearchConfig& config) {
-  std::uint32_t depth;
-  if (config.max_spawn_depth > 0) {
-    depth = std::min<std::uint32_t>(config.max_spawn_depth, 4);
-  } else if (t.cells < 32) {
-    depth = 1;
-  } else {
-    depth = 1;
-    std::uint64_t width = t.cand_stride;
-    const std::uint64_t target = static_cast<std::uint64_t>(threads) * 16;
-    while (depth < 4 && width < target) {
-      width *= t.cand_stride;
-      ++depth;
-    }
-  }
-  // Rank digits must fit in 64 bits: (cand_stride + 1)^depth < 2^62.
-  const std::uint64_t base = std::uint64_t{t.cand_stride} + 1;
-  for (;;) {
-    std::uint64_t max_rank = 1;
-    bool fits = true;
-    for (std::uint32_t d = 0; d < depth && fits; ++d) {
-      if (max_rank > (std::uint64_t{1} << 62) / base) {
-        fits = false;
-      } else {
-        max_rank *= base;
-      }
-    }
-    if (fits || depth <= 1) return depth;
-    --depth;
-  }
-}
-
-std::vector<Tiling> run_search_dense_tasks(
+std::vector<Tiling> run_search_dense_parallel(
     const std::vector<Prototile>& prototiles, const Sublattice& period,
     const TorusSearchConfig& config, std::size_t limit) {
   const DenseTables tables = build_tables(prototiles, period);
   if (tables.cells == 0 || tables.cand_stride == 0) return {};
-  const std::size_t threads = parallel_threads();
 
-  TaskShared sh;
-  sh.prototiles = &prototiles;
-  sh.period = &period;
-  sh.tables = &tables;
-  sh.ops = &mask_kernels::active_ops();
-  sh.node_limit = config.node_limit;
-  sh.require_all = config.require_all_prototiles;
-  sh.limit = limit;
-  sh.spawn_depth = pick_spawn_depth(tables, threads, config);
-  sh.stride.assign(sh.spawn_depth, 1);
-  for (std::uint32_t d = sh.spawn_depth; d-- > 1;) {
-    sh.stride[d - 1] =
-        sh.stride[d] * (std::uint64_t{tables.cand_stride} + 1);
-  }
+  std::atomic<std::uint32_t> satisfied{~std::uint32_t{0}};
+  std::vector<std::vector<Tiling>> results(tables.cand_stride);
+  std::vector<std::vector<std::uint64_t>> result_nodes(tables.cand_stride);
+  std::vector<std::uint64_t> nodes(tables.cand_stride, 0);
+  std::vector<char> exhausted(tables.cand_stride, 0);
 
-  TaskFrame root;
-  root.covered.assign(tables.words, 0);
-  root.uses.assign(prototiles.size(), 0);
-  root.placements.reserve(tables.cells);
+  parallel_for(0, tables.cand_stride, [&](std::size_t s) {
+    const std::uint32_t slot = static_cast<std::uint32_t>(s);
+    nodes[s] = 1;  // the root trial itself, as the serial loop counts it
+    const Candidate& c = tables.candidates[s];  // root = cell 0
+    const Footprint& fp = tables.footprints[c.footprint];
+    if (!fp.self_ok || slot > satisfied.load(std::memory_order_relaxed)) {
+      return;
+    }
+    DenseState st =
+        empty_state(prototiles, period, tables, config, limit, &results[s]);
+    mask_kernels::toggle_scalar(st.covered.data(),
+                                &tables.mask_words[fp.mask_begin],
+                                tables.words);
+    st.covered_count = fp.size;
+    st.placements.emplace_back(tables.cell_points[c.translate_class],
+                               c.prototile);
+    ++st.uses[c.prototile];
+    st.satisfied = &satisfied;
+    st.subtree_index = slot;
+    st.result_nodes = &result_nodes[s];
+    search_dense(st, 1);
+    assert(st.nodes <= config.node_limit + 1);
+    for (std::uint64_t& checkpoint : result_nodes[s]) checkpoint += 1;
+    nodes[s] += st.nodes;
+    exhausted[s] = st.nodes > config.node_limit ? 1 : 0;
+    if (results[s].size() >= limit) {
+      std::uint32_t cur = satisfied.load(std::memory_order_relaxed);
+      while (slot < cur && !satisfied.compare_exchange_weak(
+                               cur, slot, std::memory_order_relaxed)) {
+      }
+    }
+  });
 
-  const TaskTreeStats tstats =
-      run_task_tree(threads, [&sh, &root](TaskContext& ctx) {
-        run_subtree_task(sh, ctx, std::move(root));
-      });
-
-  std::sort(sh.records.begin(), sh.records.end(),
-            [](const SubtreeRecord& a, const SubtreeRecord& b) {
-              return a.rank < b.rank;
-            });
   std::vector<Tiling> out;
   std::uint64_t total_nodes = 0;
   bool any_exhausted = false;
-  for (SubtreeRecord& rec : sh.records) {
+  for (std::uint32_t s = 0; s < tables.cand_stride; ++s) {
     const std::size_t needed = limit - out.size();
-    if (rec.results.size() >= needed) {
+    if (results[s].size() >= needed) {
       // This subtree straddles the result-limit cut: the serial DFS
       // stops at the needed-th emission, so only the nodes up to that
       // checkpoint are charged (and the budget was clearly not hit by
       // then — emissions stop once the budget trips).
-      total_nodes += rec.result_nodes[needed - 1];
+      total_nodes += result_nodes[s][needed - 1];
       for (std::size_t i = 0; i < needed; ++i) {
-        out.push_back(std::move(rec.results[i]));
+        out.push_back(std::move(results[s][i]));
       }
       break;
     }
-    total_nodes += rec.nodes;
-    any_exhausted = any_exhausted || rec.exhausted;
-    for (Tiling& tl : rec.results) out.push_back(std::move(tl));
+    total_nodes += nodes[s];
+    any_exhausted = any_exhausted || exhausted[s] != 0;
+    for (Tiling& tl : results[s]) out.push_back(std::move(tl));
   }
   if (config.stats != nullptr) {
-    *config.stats = TorusSearchStats{};
     config.stats->nodes = total_nodes;
     config.stats->budget_exhausted = any_exhausted;
-    config.stats->subtree_tasks = tstats.tasks;
-    config.stats->steals = tstats.steals;
-    config.stats->kernel = sh.ops->name;
   }
   return out;
 }
@@ -667,7 +458,7 @@ std::vector<Tiling> run_search(const std::vector<Prototile>& prototiles,
   if (config.use_dense_engine && mask_bytes <= (std::uint64_t{64} << 20)) {
     if (config.use_parallel && parallel_threads() > 1 &&
         !in_parallel_region() && cells >= 16) {
-      return run_search_dense_tasks(prototiles, period, config, limit);
+      return run_search_dense_parallel(prototiles, period, config, limit);
     }
     return run_search_dense(prototiles, period, config, limit);
   }

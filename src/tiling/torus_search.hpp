@@ -38,17 +38,6 @@ struct TorusSearchStats {
   /// refuses to memoize a budget-truncated failure.  For a sweep this
   /// ORs over every torus whose outcome influenced the result.
   bool budget_exhausted = false;
-  /// Subtree tasks executed by the work-stealing engine (0 for a serial
-  /// search).  A healthy parallel search runs many more tasks than
-  /// workers, so idle workers always find something to steal.
-  std::uint64_t subtree_tasks = 0;
-  /// Tasks a worker took from another worker's deque (load imbalance
-  /// that root fan-out would have serialized; 0 for a serial search).
-  std::uint64_t steals = 0;
-  /// Mask-kernel implementation the dense engine dispatched to
-  /// ("scalar" or "avx2"; see tiling/mask_kernels.hpp).  Static storage
-  /// — never freed, safe to keep.
-  const char* kernel = "scalar";
 };
 
 struct TorusSearchConfig {
@@ -74,25 +63,16 @@ struct TorusSearchConfig {
   /// Allow the shared thread pool (util/parallel.hpp) to speculate: the
   /// period sweep searches several tori concurrently (the first torus in
   /// sweep order that admits a tiling wins, exactly as in the serial
-  /// sweep) and all_tilings_on_torus fans the root subtrees out (results
+  /// sweep) and a single-torus search fans the root subtrees out (results
   /// concatenated in root-candidate order, i.e. the serial DFS order).
   /// Both are deterministic: any thread count returns the identical
   /// tilings, PROVIDED node_limit is not hit — under parallel execution
   /// the budget applies per torus/subtree rather than globally, so a
   /// budget-truncated parallel search may explore more than a serial one.
-  /// Serial whenever this is false or the pool has one thread.
+  /// Serial whenever this is false or the pool has one thread; the root
+  /// fan-out also stays serial inside a parallel region and on tori of
+  /// fewer than 16 cells.
   bool use_parallel = true;
-  /// Depth of the subtree-task spawn frontier of the parallel dense
-  /// engine: search nodes shallower than this depth become work-stealing
-  /// tasks (one per candidate slot), everything deeper runs inline.
-  /// 1 reproduces the old root-only fan-out (at most cand_stride tasks —
-  /// the baseline the benches compare stealing against); 0 picks a depth
-  /// automatically so the task count comfortably exceeds the worker
-  /// count.  Values are clamped to 4: past that the task bookkeeping
-  /// outweighs any balance gain.  Results are byte-identical for every
-  /// setting; only node accounting under a truncating node_limit depends
-  /// on the task shape (the budget is per subtree task).
-  std::uint32_t max_spawn_depth = 0;
   /// When non-null, receives search counters (overwritten per torus; the
   /// parallel sweep reports the winning torus's counters).
   TorusSearchStats* stats = nullptr;

@@ -52,8 +52,6 @@ const KnobSpace& KnobSpace::global() {
   static const KnobSpace space({
       {"tiling", "node_limit", 20'000'000.0, 10'000.0, 80'000'000.0, 4.0,
        true, "torus-search placement budget before giving up a period"},
-      {"tiling", "max_spawn_depth", 0.0, 0.0, 8.0, 2.0, false,
-       "parallel search spawn depth (0 = auto from pool width)"},
       {"annealing", "sa_max_iters", 200'000.0, 1'000.0, 2'000'000.0, 4.0,
        true, "Metropolis steps per color-count attempt"},
       {"annealing", "sa_initial_temperature", 2.0, 0.25, 16.0, 2.0, true,
@@ -64,8 +62,6 @@ const KnobSpace& KnobSpace::global() {
        "shard halo width (-1 = auto: the interference reach)"},
       {"mobile", "node_limit", 20'000'000.0, 10'000.0, 80'000'000.0, 4.0,
        true, "torus-search placement budget of the underlying tiling"},
-      {"mobile", "max_spawn_depth", 0.0, 0.0, 8.0, 2.0, false,
-       "parallel search spawn depth (0 = auto from pool width)"},
       // Session-level knobs: declared (serialized, listed, benched) but
       // applied by PlanSession across replans, not per plan request —
       // the tuner holds them at their defaults during a search.
@@ -148,8 +144,6 @@ void apply_config(const TunedConfig& config, PlanRequest* request) {
   for (const auto& [knob, value] : config.values) {
     if (knob == "node_limit") {
       request->search.node_limit = static_cast<std::uint64_t>(value);
-    } else if (knob == "max_spawn_depth") {
-      request->search.max_spawn_depth = static_cast<std::uint32_t>(value);
     } else if (knob == "sa_max_iters") {
       request->sa.max_iters = static_cast<std::uint64_t>(value);
     } else if (knob == "sa_initial_temperature") {

@@ -1,7 +1,6 @@
 #include "util/parallel.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <memory>
 
@@ -156,225 +155,6 @@ void detail::parallel_for_dispatch(
           for (std::size_t i = lo; i < hi; ++i) fn(i);
         }
       });
-}
-
-// ---------------------------------------------------------------------------
-// Work-stealing scheduler
-// ---------------------------------------------------------------------------
-
-namespace detail {
-
-namespace {
-
-using Task = std::function<void(TaskContext&)>;
-
-/// Chase–Lev work-stealing deque of Task* (Chase & Lev, SPAA 2005).  The
-/// owner pushes/pops at the bottom; thieves take from the top.  All
-/// cross-thread hand-off goes through std::atomic operations (the slot
-/// store/load pair is release/acquire, top/bottom are seq_cst), so the
-/// implementation is exact under the C++ memory model AND visible to
-/// ThreadSanitizer — no fences TSan cannot model.  A slot may be read by
-/// a slow thief after the owner recycled it; the value is discarded when
-/// the subsequent top CAS fails, and because slots are atomic the stale
-/// read is well-defined.
-class ChaseLevDeque {
- public:
-  explicit ChaseLevDeque(std::size_t capacity = 64) {
-    buffers_.push_back(std::make_unique<Buffer>(capacity));
-    buffer_.store(buffers_.back().get(), std::memory_order_relaxed);
-  }
-
-  /// Owner only.
-  void push(Task* task) {
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed);
-    const std::int64_t t = top_.load(std::memory_order_acquire);
-    Buffer* buf = buffer_.load(std::memory_order_relaxed);
-    if (b - t >= static_cast<std::int64_t>(buf->capacity)) {
-      buf = grow(buf, t, b);
-    }
-    buf->slot(b).store(task, std::memory_order_release);
-    bottom_.store(b + 1, std::memory_order_seq_cst);
-  }
-
-  /// Owner only; LIFO.  nullptr when empty.
-  Task* pop() {
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
-    Buffer* buf = buffer_.load(std::memory_order_relaxed);
-    bottom_.store(b, std::memory_order_seq_cst);
-    std::int64_t t = top_.load(std::memory_order_seq_cst);
-    if (t > b) {  // deque was empty: undo
-      bottom_.store(b + 1, std::memory_order_relaxed);
-      return nullptr;
-    }
-    Task* task = buf->slot(b).load(std::memory_order_acquire);
-    if (t < b) return task;  // more than one entry: no race with thieves
-    // Exactly one entry: race the thieves for it via the top CAS.
-    const bool won = top_.compare_exchange_strong(
-        t, t + 1, std::memory_order_seq_cst, std::memory_order_relaxed);
-    bottom_.store(b + 1, std::memory_order_relaxed);
-    return won ? task : nullptr;
-  }
-
-  /// Any thread; FIFO (oldest = biggest subtree).  nullptr when empty or
-  /// the race was lost.
-  Task* steal() {
-    std::int64_t t = top_.load(std::memory_order_seq_cst);
-    const std::int64_t b = bottom_.load(std::memory_order_seq_cst);
-    if (t >= b) return nullptr;
-    Buffer* buf = buffer_.load(std::memory_order_acquire);
-    Task* task = buf->slot(t).load(std::memory_order_acquire);
-    if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                      std::memory_order_relaxed)) {
-      return nullptr;  // lost to the owner or another thief
-    }
-    return task;
-  }
-
- private:
-  struct Buffer {
-    explicit Buffer(std::size_t cap)
-        : capacity(cap), slots(new std::atomic<Task*>[cap]) {}
-    std::atomic<Task*>& slot(std::int64_t i) {
-      return slots[static_cast<std::size_t>(i) & (capacity - 1)];
-    }
-    const std::size_t capacity;  // power of two
-    std::unique_ptr<std::atomic<Task*>[]> slots;
-  };
-
-  Buffer* grow(Buffer* old, std::int64_t t, std::int64_t b) {
-    buffers_.push_back(std::make_unique<Buffer>(old->capacity * 2));
-    Buffer* next = buffers_.back().get();
-    for (std::int64_t i = t; i < b; ++i) {
-      next->slot(i).store(old->slot(i).load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-    }
-    buffer_.store(next, std::memory_order_release);
-    return next;
-  }
-
-  std::atomic<std::int64_t> top_{0};
-  std::atomic<std::int64_t> bottom_{0};
-  std::atomic<Buffer*> buffer_{nullptr};
-  /// Every buffer ever used, retired on growth but kept alive for the
-  /// deque's lifetime so a slow thief's stale buffer pointer stays valid
-  /// (growth happens a handful of times; the waste is bounded).  Only
-  /// the owner mutates this vector (push/grow are owner-only).
-  std::vector<std::unique_ptr<Buffer>> buffers_;
-};
-
-}  // namespace
-
-class TaskSchedulerImpl {
- public:
-  explicit TaskSchedulerImpl(std::size_t workers) : deques_(workers) {
-    for (auto& d : deques_) d = std::make_unique<ChaseLevDeque>();
-  }
-
-  ~TaskSchedulerImpl() {
-    // Abandoned tasks (exception unwinding) are still owned by the deques.
-    for (auto& d : deques_) {
-      while (Task* t = d->steal()) delete t;
-    }
-  }
-
-  void spawn(std::size_t worker, Task task) {
-    pending_.fetch_add(1, std::memory_order_relaxed);
-    deques_[worker]->push(new Task(std::move(task)));
-  }
-
-  void worker_body(std::size_t rank) {
-    TaskContext ctx(this, rank);
-    std::size_t idle_rounds = 0;
-    for (;;) {
-      Task* task = deques_[rank]->pop();
-      if (task == nullptr) task = try_steal(rank);
-      if (task != nullptr) {
-        idle_rounds = 0;
-        execute(task, ctx);
-        continue;
-      }
-      if (pending_.load(std::memory_order_acquire) == 0 ||
-          abort_.load(std::memory_order_acquire)) {
-        return;
-      }
-      // Out of work but tasks are still running elsewhere (and may spawn
-      // more): yield, then back off to short sleeps so an oversubscribed
-      // host (more workers than cores) is not thrashed by the spin.
-      if (++idle_rounds < 64) {
-        std::this_thread::yield();
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      }
-    }
-  }
-
-  void run_root(Task root) {
-    pending_.store(1, std::memory_order_relaxed);
-    deques_[0]->push(new Task(std::move(root)));
-    const std::size_t workers = deques_.size();
-    if (workers <= 1) {
-      worker_body(0);
-    } else {
-      ThreadPool::global().run(workers,
-                               [this](std::size_t r) { worker_body(r); });
-    }
-    if (error_) std::rethrow_exception(error_);
-  }
-
-  TaskTreeStats stats() const {
-    return TaskTreeStats{tasks_.load(std::memory_order_relaxed),
-                         steals_.load(std::memory_order_relaxed)};
-  }
-
- private:
-  Task* try_steal(std::size_t rank) {
-    const std::size_t n = deques_.size();
-    for (std::size_t i = 1; i < n; ++i) {
-      Task* task = deques_[(rank + i) % n]->steal();
-      if (task != nullptr) {
-        steals_.fetch_add(1, std::memory_order_relaxed);
-        return task;
-      }
-    }
-    return nullptr;
-  }
-
-  void execute(Task* task, TaskContext& ctx) {
-    tasks_.fetch_add(1, std::memory_order_relaxed);
-    try {
-      if (!abort_.load(std::memory_order_relaxed)) (*task)(ctx);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mu_);
-      if (!error_) error_ = std::current_exception();
-      abort_.store(true, std::memory_order_release);
-    }
-    delete task;
-    pending_.fetch_sub(1, std::memory_order_release);
-  }
-
-  std::vector<std::unique_ptr<ChaseLevDeque>> deques_;
-  std::atomic<std::uint64_t> pending_{0};
-  std::atomic<std::uint64_t> tasks_{0};
-  std::atomic<std::uint64_t> steals_{0};
-  std::atomic<bool> abort_{false};
-  std::mutex error_mu_;
-  std::exception_ptr error_;
-};
-
-}  // namespace detail
-
-void TaskContext::spawn(std::function<void(TaskContext&)> task) {
-  impl_->spawn(worker_, std::move(task));
-}
-
-TaskTreeStats run_task_tree(std::size_t parallelism,
-                            std::function<void(TaskContext&)> root) {
-  std::size_t workers = std::min(parallelism, parallel_threads());
-  if (workers == 0) workers = 1;
-  if (t_in_parallel_region) workers = 1;
-  detail::TaskSchedulerImpl scheduler(workers);
-  scheduler.run_root(std::move(root));
-  return scheduler.stats();
 }
 
 }  // namespace latticesched

@@ -1,5 +1,4 @@
-// Shared fork-join thread pool, parallel_for, and a work-stealing task
-// scheduler.
+// Shared fork-join thread pool and parallel_for.
 //
 // The planner pipeline fans out over backends, the torus search
 // speculatively explores several tori, and the conflict-graph builder
@@ -109,59 +108,5 @@ void parallel_for(std::size_t begin, std::size_t end, Fn&& fn,
   detail::parallel_for_dispatch(
       begin, end, std::function<void(std::size_t)>(std::ref(fn)), grain);
 }
-
-// ---------------------------------------------------------------------------
-// Work-stealing task scheduler (Chase–Lev deques over the shared pool).
-//
-// run_task_tree() executes a dynamic tree of tasks: the root task (and
-// every descendant) may spawn further tasks through its TaskContext.
-// Each worker owns a Chase–Lev deque — spawn pushes onto the owner's
-// bottom, the owner pops LIFO from the bottom (locally depth-first, so
-// a DFS that spawns its children in reverse order keeps expanding its
-// first child next), and idle workers steal FIFO from a victim's top
-// (the oldest task, i.e. the shallowest and therefore biggest pending
-// subtree).  The scheduler provides NO ordering: consumers must combine
-// task results by a thread-independent key (the torus search tags every
-// subtree task with its DFS sweep rank and assembles results by rank).
-// ---------------------------------------------------------------------------
-
-namespace detail {
-class TaskSchedulerImpl;
-}
-
-/// Handle a running task uses to spawn subtasks onto the scheduler.
-class TaskContext {
- public:
-  /// Enqueues `task` on the calling worker's deque.  May be called any
-  /// number of times; the spawned task runs on this worker (LIFO) unless
-  /// an idle worker steals it first.
-  void spawn(std::function<void(TaskContext&)> task);
-
-  /// Rank of the executing worker in [0, parallelism).
-  std::size_t worker() const { return worker_; }
-
- private:
-  friend class detail::TaskSchedulerImpl;
-  TaskContext(detail::TaskSchedulerImpl* impl, std::size_t worker)
-      : impl_(impl), worker_(worker) {}
-  detail::TaskSchedulerImpl* impl_;
-  std::size_t worker_;
-};
-
-/// Scheduler counters for one run_task_tree call.
-struct TaskTreeStats {
-  std::uint64_t tasks = 0;   ///< tasks executed (root included)
-  std::uint64_t steals = 0;  ///< tasks taken from another worker's deque
-};
-
-/// Runs `root` (plus everything it transitively spawns) over the global
-/// pool with min(parallelism, pool size) workers and returns when every
-/// spawned task has finished.  Serial — one worker draining its own
-/// deque in LIFO order, i.e. plain DFS — when parallelism <= 1, the
-/// pool is serial, or the caller is already inside a parallel region.
-/// Rethrows the first task exception (remaining queued tasks are
-/// dropped).
-TaskTreeStats run_task_tree(std::size_t parallelism,
-                            std::function<void(TaskContext&)> root);
 
 }  // namespace latticesched

@@ -68,15 +68,6 @@ std::string normalize_volatile(std::string json) {
     const std::size_t end = json.find('}', pos);
     json.replace(pos, end - pos + 1, "\"cache\": {0}");
   }
-  // The search footer is a cost counter like the cache one: a warm run
-  // searches nothing (empty kernel), a cold run reports its kernel and
-  // task counts.
-  const std::string search_needle = "\"search\": {";
-  pos = json.find(search_needle);
-  if (pos != std::string::npos) {
-    const std::size_t end = json.find('}', pos);
-    json.replace(pos, end - pos + 1, "\"search\": {0}");
-  }
   for (const std::string needle :
        {"\"worker_failures\": ", "\"worker_timeouts\": "}) {
     pos = json.find(needle);

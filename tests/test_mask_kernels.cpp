@@ -1,26 +1,12 @@
-// Footprint-mask kernel tests: the scalar reference contract and the
-// AVX2 cross-check.  The dispatch tables must be bit-identical — the
-// dense torus engine treats kernel choice as invisible (pinned again at
-// the search level by test_stealing_determinism.cpp) — so the AVX2
-// implementation is compared against scalar on randomized masks,
-// including word counts that leave a tail after the 4-word SIMD lanes
-// and set tail bits mimicking cells % 64 != 0 tori.
+// Footprint-mask kernel tests: the contracts of the dense torus search's
+// three inline mask loops.
 #include <gtest/gtest.h>
-
-#include <cstring>
-#include <random>
-#include <vector>
 
 #include "tiling/mask_kernels.hpp"
 
 namespace latticesched {
 namespace mask_kernels {
 namespace {
-
-/// Restores the process-wide kernel override on scope exit.
-struct KernelGuard {
-  ~KernelGuard() { set_kernel(Kernel::kAuto); }
-};
 
 TEST(MaskKernels, ScalarFirstUncoveredContract) {
   // One word, bit 3 clear.
@@ -54,75 +40,6 @@ TEST(MaskKernels, ScalarOverlapAndToggle) {
   toggle_scalar(cover, mask, 2);  // undo: toggle is an involution
   EXPECT_EQ(cover[0], 0x0fu);
   EXPECT_EQ(cover[1], 0u);
-}
-
-TEST(MaskKernels, DispatchTablesAndOverride) {
-  KernelGuard guard;
-  EXPECT_STREQ(scalar_ops().name, "scalar");
-  ASSERT_TRUE(set_kernel(Kernel::kScalar));
-  EXPECT_EQ(kernel_setting(), Kernel::kScalar);
-  EXPECT_STREQ(active_ops().name, "scalar");
-
-  if (avx2_ops() != nullptr) {
-    EXPECT_STREQ(avx2_ops()->name, "avx2");
-    EXPECT_TRUE(set_kernel(Kernel::kAvx2));
-    EXPECT_STREQ(active_ops().name, "avx2");
-  } else {
-    // Unavailable: the request is refused and the setting is unchanged.
-    EXPECT_FALSE(set_kernel(Kernel::kAvx2));
-    EXPECT_EQ(kernel_setting(), Kernel::kScalar);
-    EXPECT_STREQ(active_ops().name, "scalar");
-  }
-}
-
-// The cross-check: every op, every word count 1..11 (SIMD lane counts 0,
-// 1, 2 with every tail length), randomized masks.  Biased bit densities
-// hit both the all-ones fast path of the scan and sparse overlap cases.
-TEST(MaskKernels, Avx2MatchesScalarOnRandomMasks) {
-  const Ops* avx2 = avx2_ops();
-  if (avx2 == nullptr) {
-    GTEST_SKIP() << "AVX2 kernels unavailable on this build/host";
-  }
-  std::mt19937_64 rng(0xC0FFEEu);
-  for (std::uint32_t words = 1; words <= 11; ++words) {
-    for (int round = 0; round < 200; ++round) {
-      std::vector<std::uint64_t> cover(words), mask(words);
-      // Density sweep: mostly-ones masks exercise the scan's
-      // keep-looking path, mostly-zeros the immediate hit.
-      const int density = round % 4;
-      for (std::uint32_t i = 0; i < words; ++i) {
-        std::uint64_t v = rng();
-        if (density == 0) v |= rng();          // ~75% ones
-        if (density == 1) v &= rng();          // ~25% ones
-        if (density == 2) v = ~std::uint64_t{0};  // saturated words
-        cover[i] = v;
-        mask[i] = rng() & rng() & rng();       // sparse footprints
-      }
-      if (density == 2 && round % 8 == 2) {
-        // Tail pattern of a torus with cells % 64 != 0: the last word
-        // is saturated up to the cell count, zero past it.
-        cover[words - 1] = ~std::uint64_t{0} << (round % 63 + 1) >>
-                           (round % 63 + 1);
-      }
-
-      EXPECT_EQ(avx2->any_overlap(cover.data(), mask.data(), words),
-                any_overlap_scalar(cover.data(), mask.data(), words))
-          << words << " words, round " << round;
-
-      for (std::uint32_t cursor = 0; cursor < words * 64;
-           cursor += 1 + static_cast<std::uint32_t>(rng() % 19)) {
-        EXPECT_EQ(avx2->first_uncovered(cover.data(), words, cursor),
-                  first_uncovered_scalar(cover.data(), words, cursor))
-            << words << " words, round " << round << ", cursor " << cursor;
-      }
-
-      std::vector<std::uint64_t> toggled = cover;
-      avx2->toggle(toggled.data(), mask.data(), words);
-      std::vector<std::uint64_t> expected = cover;
-      toggle_scalar(expected.data(), mask.data(), words);
-      EXPECT_EQ(toggled, expected) << words << " words, round " << round;
-    }
-  }
 }
 
 }  // namespace

@@ -113,7 +113,7 @@ TEST(PlanService, SecondIdenticalBatchIsServedFromCache) {
   // collision checker is uncached and identical in both runs; the
   // coloring backends never search).  A radius sweep joins the registry
   // batch so the cold cost is dominated by genuine searches.
-  set_parallel_threads(1);  // deterministic counters (no racing misses)
+  set_parallel_threads(1);
   PlanService service;
   ScenarioParams params;
   params.n = 8;
@@ -287,26 +287,39 @@ TEST(PlanService, ScenarioFailuresAreReportedNotThrown) {
 }
 
 TEST(PlanService, BatchIsDeterministicAcrossThreadCounts) {
+  // Results AND cache counters: items racing on one cold key may both
+  // search, but only the insert counts a miss.  A racing miss shows up
+  // in most 4-thread runs, so five fresh runs make a regression
+  // near-certain to fail.
   ScenarioParams params;
   params.n = 6;
-  std::vector<BatchReport> reports;
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+  const auto run = [&](std::size_t threads) {
     set_parallel_threads(threads);
     PlanService service;
-    reports.push_back(service.run(service.registry_batch(
-        params, {"tiling", "dsatur", "tdma"})));
-  }
+    return service.run(
+        service.registry_batch(params, {"tiling", "dsatur", "tdma"}));
+  };
+  const BatchReport serial = run(1);
+  std::vector<BatchReport> threaded;
+  for (int round = 0; round < 5; ++round) threaded.push_back(run(4));
   set_parallel_threads(0);
-  ASSERT_EQ(reports[0].items.size(), reports[1].items.size());
-  for (std::size_t i = 0; i < reports[0].items.size(); ++i) {
-    const BatchItemReport& a = reports[0].items[i];
-    const BatchItemReport& b = reports[1].items[i];
-    EXPECT_EQ(a.label, b.label);
-    ASSERT_EQ(a.results.size(), b.results.size());
-    for (std::size_t j = 0; j < a.results.size(); ++j) {
-      EXPECT_EQ(a.results[j].backend, b.results[j].backend);
-      EXPECT_EQ(a.results[j].slots.slot, b.results[j].slots.slot);
-      EXPECT_EQ(a.results[j].slots.period, b.results[j].slots.period);
+  for (std::size_t round = 0; round < threaded.size(); ++round) {
+    const BatchReport& report = threaded[round];
+    EXPECT_EQ(serial.counters.cache_hits, report.counters.cache_hits)
+        << "round " << round;
+    EXPECT_EQ(serial.counters.cache_misses, report.counters.cache_misses)
+        << "round " << round;
+    ASSERT_EQ(serial.items.size(), report.items.size());
+    for (std::size_t i = 0; i < serial.items.size(); ++i) {
+      const BatchItemReport& a = serial.items[i];
+      const BatchItemReport& b = report.items[i];
+      EXPECT_EQ(a.label, b.label);
+      ASSERT_EQ(a.results.size(), b.results.size());
+      for (std::size_t j = 0; j < a.results.size(); ++j) {
+        EXPECT_EQ(a.results[j].backend, b.results[j].backend);
+        EXPECT_EQ(a.results[j].slots.slot, b.results[j].slots.slot);
+        EXPECT_EQ(a.results[j].slots.period, b.results[j].slots.period);
+      }
     }
   }
 }

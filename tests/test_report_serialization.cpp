@@ -203,11 +203,8 @@ TEST(ReportSerialization, GoldenDriverJson) {
   item.backends = {"tiling", "tdma"};
   BatchReport report = service.run({item});
   set_parallel_threads(0);
-  // Zero the volatile fields so the serialization is reproducible.  The
-  // dispatched mask kernel is host-CPU-dependent (avx2 vs scalar), so it
-  // is blanked like the wall times; the line's SHAPE stays pinned.
+  // Zero the volatile fields so the serialization is reproducible.
   report.wall_seconds = 0.0;
-  report.counters.search_kernel.clear();
   for (BatchItemReport& it : report.items) {
     for (PlanResult& r : it.results) r.wall_seconds = 0.0;
   }
@@ -230,16 +227,13 @@ Counters distinct_counters() {
   Counters c;
   c.cache_hits = 1;
   c.cache_misses = 2;
-  c.search_subtree_tasks = 3;
-  c.search_steals = 4;
-  c.search_kernel = "avx2";
-  c.regions = 5;
-  c.seam_sensors = 6;
-  c.stitch_recolored = 7;
-  c.tune_hits = 8;
-  c.tune_misses = 9;
-  c.tune_searches = 10;
-  c.tune_trials_run = 11;
+  c.regions = 3;
+  c.seam_sensors = 4;
+  c.stitch_recolored = 5;
+  c.tune_hits = 6;
+  c.tune_misses = 7;
+  c.tune_searches = 8;
+  c.tune_trials_run = 9;
   return c;
 }
 
@@ -248,35 +242,23 @@ TEST(Counters, EveryFieldHasExactlyOneTableRow) {
   // the table, then read each row back.
   Counters c;
   std::size_t numbers = 0;
-  std::size_t texts = 0;
   std::uint64_t next = 0;
   for (const CounterGroup& group : kCounterGroups) {
     for (const CounterField& f : group.fields) {
-      ASSERT_NE(f.number == nullptr, f.text == nullptr) << f.key;
-      if (f.text != nullptr) {
-        c.*f.text = std::to_string(++next);
-        ++texts;
-      } else {
-        c.*f.number = ++next;
-        ++numbers;
-      }
+      ASSERT_NE(f.number, nullptr) << f.key;
+      c.*f.number = ++next;
+      ++numbers;
     }
   }
   next = 0;
   for (const CounterGroup& group : kCounterGroups) {
     for (const CounterField& f : group.fields) {
-      ++next;
-      if (f.text != nullptr) {
-        EXPECT_EQ(c.*f.text, std::to_string(next)) << group.key << '.' << f.key;
-      } else {
-        EXPECT_EQ(c.*f.number, next) << group.key << '.' << f.key;
-      }
+      EXPECT_EQ(c.*f.number, ++next) << group.key << '.' << f.key;
     }
   }
   // A field added to Counters without a row would never be merged,
   // serialized or printed; it shows up as size the rows do not cover.
-  EXPECT_EQ(sizeof(Counters),
-            numbers * sizeof(std::uint64_t) + texts * sizeof(std::string))
+  EXPECT_EQ(sizeof(Counters), numbers * sizeof(std::uint64_t))
       << "a Counters field has no kCounterGroups row";
 }
 
@@ -286,29 +268,23 @@ TEST(Counters, EveryFieldRoundTripsThroughTheBatchFooter) {
   const std::string json = batch_report_to_json(report);
   EXPECT_NE(json.find("  \"cache\": {\"hits\": 1, \"misses\": 2},\n"),
             std::string::npos);
-  EXPECT_NE(json.find("  \"search\": {\"subtree_tasks\": 3, \"steals\": 4, "
-                      "\"kernel\": \"avx2\"},\n"),
+  EXPECT_NE(json.find("  \"regions\": {\"count\": 3, \"seam_sensors\": 4, "
+                      "\"stitch_recolored\": 5},\n"),
             std::string::npos);
-  EXPECT_NE(json.find("  \"regions\": {\"count\": 5, \"seam_sensors\": 6, "
-                      "\"stitch_recolored\": 7},\n"),
-            std::string::npos);
-  EXPECT_NE(json.find("  \"tuning\": {\"hits\": 8, \"misses\": 9, "
-                      "\"searches\": 10, \"trials\": 11},\n"),
+  EXPECT_NE(json.find("  \"tuning\": {\"hits\": 6, \"misses\": 7, "
+                      "\"searches\": 8, \"trials\": 9},\n"),
             std::string::npos);
 
   const Counters parsed = parse_batch_report_json(json).counters;
   EXPECT_EQ(parsed.cache_hits, 1u);
   EXPECT_EQ(parsed.cache_misses, 2u);
-  EXPECT_EQ(parsed.search_subtree_tasks, 3u);
-  EXPECT_EQ(parsed.search_steals, 4u);
-  EXPECT_EQ(parsed.search_kernel, "avx2");
-  EXPECT_EQ(parsed.regions, 5u);
-  EXPECT_EQ(parsed.seam_sensors, 6u);
-  EXPECT_EQ(parsed.stitch_recolored, 7u);
-  EXPECT_EQ(parsed.tune_hits, 8u);
-  EXPECT_EQ(parsed.tune_misses, 9u);
-  EXPECT_EQ(parsed.tune_searches, 10u);
-  EXPECT_EQ(parsed.tune_trials_run, 11u);
+  EXPECT_EQ(parsed.regions, 3u);
+  EXPECT_EQ(parsed.seam_sensors, 4u);
+  EXPECT_EQ(parsed.stitch_recolored, 5u);
+  EXPECT_EQ(parsed.tune_hits, 6u);
+  EXPECT_EQ(parsed.tune_misses, 7u);
+  EXPECT_EQ(parsed.tune_searches, 8u);
+  EXPECT_EQ(parsed.tune_trials_run, 9u);
 
   // Strict: a missing group or a malformed value is an error.
   const std::size_t tuning = json.find("  \"tuning\"");
@@ -316,9 +292,10 @@ TEST(Counters, EveryFieldRoundTripsThroughTheBatchFooter) {
   no_tuning.erase(tuning, json.find('\n', tuning) + 1 - tuning);
   EXPECT_THROW((void)parse_batch_report_json(no_tuning),
                std::invalid_argument);
-  const std::string steals = "\"steals\": 4";
+  const std::string seams = "\"seam_sensors\": 4";
   std::string negative = json;
-  negative.replace(negative.find(steals), steals.size(), "\"steals\": -4");
+  negative.replace(negative.find(seams), seams.size(),
+                   "\"seam_sensors\": -4");
   EXPECT_THROW((void)parse_batch_report_json(negative),
                std::invalid_argument);
 }
@@ -326,28 +303,22 @@ TEST(Counters, EveryFieldRoundTripsThroughTheBatchFooter) {
 TEST(Counters, MergeSumsKeepsTheLargestRegionsAndTheLastKernel) {
   Counters merged = distinct_counters();
   Counters other = distinct_counters();
-  other.regions = 3;         // smaller: the max keeps 5
-  other.search_kernel = "";  // empty: the kernel stays "avx2"
+  other.regions = 1;  // smaller: the max keeps 3
   merged.merge(other);
   EXPECT_EQ(merged.cache_hits, 2u);
   EXPECT_EQ(merged.cache_misses, 4u);
-  EXPECT_EQ(merged.search_subtree_tasks, 6u);
-  EXPECT_EQ(merged.search_steals, 8u);
-  EXPECT_EQ(merged.search_kernel, "avx2");
-  EXPECT_EQ(merged.regions, 5u);
-  EXPECT_EQ(merged.seam_sensors, 12u);
-  EXPECT_EQ(merged.stitch_recolored, 14u);
-  EXPECT_EQ(merged.tune_hits, 16u);
-  EXPECT_EQ(merged.tune_misses, 18u);
-  EXPECT_EQ(merged.tune_searches, 20u);
-  EXPECT_EQ(merged.tune_trials_run, 22u);
+  EXPECT_EQ(merged.regions, 3u);
+  EXPECT_EQ(merged.seam_sensors, 8u);
+  EXPECT_EQ(merged.stitch_recolored, 10u);
+  EXPECT_EQ(merged.tune_hits, 12u);
+  EXPECT_EQ(merged.tune_misses, 14u);
+  EXPECT_EQ(merged.tune_searches, 16u);
+  EXPECT_EQ(merged.tune_trials_run, 18u);
 
   Counters later;
   later.regions = 9;
-  later.search_kernel = "scalar";
   merged.merge(later);
   EXPECT_EQ(merged.regions, 9u);
-  EXPECT_EQ(merged.search_kernel, "scalar");
   EXPECT_EQ(merged.cache_hits, 2u);
 }
 
@@ -359,12 +330,10 @@ TEST(Counters, PrinterWritesTheCacheLineAndEveryNonZeroGroup) {
             "tune-stats: 3 hit(s), 0 miss(es), 0 search(es), 0 trial(s)\n");
   EXPECT_EQ(counters_to_text(distinct_counters(), "worker 1"),
             "cache-stats: worker 1: 1 hit(s), 2 miss(es)\n"
-            "search-stats: worker 1: 3 subtree task(s), 4 steal(s), "
-            "kernel=avx2\n"
-            "region-stats: worker 1: 5 region(s), 6 seam sensor(s), "
-            "7 stitch recolor(s)\n"
-            "tune-stats: worker 1: 8 hit(s), 9 miss(es), 10 search(es), "
-            "11 trial(s)\n");
+            "region-stats: worker 1: 3 region(s), 4 seam sensor(s), "
+            "5 stitch recolor(s)\n"
+            "tune-stats: worker 1: 6 hit(s), 7 miss(es), 8 search(es), "
+            "9 trial(s)\n");
 }
 
 }  // namespace

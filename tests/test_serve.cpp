@@ -236,7 +236,6 @@ TEST(PlanServe, CloseBodyRoundTripsSessionStatsAndCounters) {
   stats.session.warm_greedy = 5;
   stats.session.regions_replanned = 6;
   stats.counters.cache_misses = 7;
-  stats.counters.search_kernel = "scalar";
   stats.counters.regions = 8;
   stats.counters.tune_trials_run = 9;
   const std::string body = serve::session_stats_to_json(stats);
