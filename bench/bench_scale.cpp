@@ -111,7 +111,7 @@ double region_ms(const Deployment& d, std::size_t regions, int reps,
   for (int rep = 0; rep < reps; ++rep) {
     if (stats != nullptr) *stats = RegionShardStats{};
     const Clock::time_point t0 = Clock::now();
-    benchmark::DoNotOptimize(plan_regions(d, regions, -1, nullptr, stats));
+    benchmark::DoNotOptimize(plan_regions(d, regions, nullptr, stats));
     best = std::min(
         best, std::chrono::duration<double>(Clock::now() - t0).count() * 1e3);
   }
@@ -202,7 +202,7 @@ void report() {
     const Deployment million = large_grid(1000000);
     RegionShardStats stats;
     const Clock::time_point t0 = Clock::now();
-    const Coloring colors = plan_regions(million, 64, -1, nullptr, &stats);
+    const Coloring colors = plan_regions(million, 64, nullptr, &stats);
     const double ms =
         std::chrono::duration<double>(Clock::now() - t0).count() * 1e3;
     std::uint32_t period = 0;
@@ -231,14 +231,14 @@ void BM_RegionPlan20k(benchmark::State& state) {
   static const Deployment* d = new Deployment(large_grid(20000));
   const auto regions = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(plan_regions(*d, regions, -1, nullptr, nullptr));
+    benchmark::DoNotOptimize(plan_regions(*d, regions, nullptr, nullptr));
   }
 }
 BENCHMARK(BM_RegionPlan20k)->Arg(1)->Arg(4)->Arg(16);
 
 void BM_ConflictBlock(benchmark::State& state) {
   static const Deployment* d = new Deployment(large_grid(20000));
-  static const RegionGrid* grid = new RegionGrid(partition_regions(*d, 16, -1));
+  static const RegionGrid* grid = new RegionGrid(partition_regions(*d, 16));
   for (auto _ : state) {
     for (const auto& members : grid->members) {
       benchmark::DoNotOptimize(build_conflict_block(*d, members));

@@ -42,7 +42,6 @@ SessionConfig session_config(const BatchItem& item,
   config.sa = item.sa;
   config.verify = item.verify;
   config.regions = item.regions;
-  config.region_halo = item.region_halo;
   config.channels = instance.channels;
   if (instance.lattice.has_value()) config.lattice = &*instance.lattice;
   if (instance.tiling.has_value()) config.tiling = &*instance.tiling;

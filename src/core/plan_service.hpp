@@ -42,8 +42,9 @@ struct BatchItem {
   /// (SessionConfig::regions; 1 = unsharded).  Ships over the
   /// distributed wire alongside the other planning knobs.
   std::size_t regions = 1;
-  /// Region halo override (SessionConfig::region_halo); -1 = the
-  /// deployment's interference reach.
+  /// Ignored: no backend reads a region halo.  The field stays only
+  /// because perfbench/workloads.cpp assigns it, and it still ships over
+  /// the distributed wire (protocol v9).
   std::int64_t region_halo = -1;
   /// Optional mutation trace in the parse_mutation_script text format
   /// (core/plan_session.hpp); overrides the scenario's own trace.  The

@@ -245,7 +245,6 @@ PlanSession::PlanSession(Deployment initial, SessionConfig config)
   base_.tiling = config.tiling;
   base_.tiling_cache = config.tiling_cache;
   base_.regions = std::max<std::size_t>(config.regions, 1);
-  base_.region_halo = config.region_halo;
   base_.tune_cache = config.tune_cache;
   base_.tune_trials = config.tune_trials;
   base_.tune_budget_ms = config.tune_budget_ms;
@@ -458,114 +457,54 @@ void PlanSession::apply(const DeploymentDelta& delta) {
 
   // --- patch the incremental state -------------------------------------
   std::sort(dirty.begin(), dirty.end());
-  // Patch only small deltas: past 1/denominator of the fleet (a quarter
-  // at the default kGraphPatchDirtyDenominator) the localized rebuild
-  // probes more cells than one clean build would.  The threshold is a
-  // SessionConfig knob; bench_session sweeps it.
-  const bool patchable =
-      graph_.has_value() && patch_denominator_ != 0 &&
-      dirty.size() * patch_denominator_ <= next.size();
+  // Carry state across small deltas only: past 1/denominator of the
+  // fleet (a quarter at the default kGraphPatchDirtyDenominator) the
+  // localized rebuild probes more cells than one clean build would.  The
+  // threshold is a SessionConfig knob; bench_session sweeps it.
+  const bool small_delta = patch_denominator_ != 0 &&
+                           dirty.size() * patch_denominator_ <= next.size();
   std::optional<Graph> next_graph;
-  bool next_warm_valid = false;
-  std::vector<std::uint32_t> next_prev;
-  std::vector<std::uint32_t> next_color_dirty;
-  if (patchable) {
+  if (small_delta && graph_.has_value()) {
     next_graph = patch_conflict_graph(*graph_, next, old_to_new, dirty);
     ++stats_.graph_patches;
-    if (warm_valid_ && prev_greedy_.size() == n_old) {
-      // Carry the greedy table onto the new ids and seed the
-      // incremental recoloring with every sensor whose conflict row
-      // changed: the delta's own sensors, their new neighborhoods, and
-      // the old neighborhoods of anything removed, moved or reshaped.
-      next_prev.assign(next.size(), kUncolored);
-      for (std::size_t i = 0; i < n_old; ++i) {
-        if (old_to_new[i] != kRemovedSensor) {
-          next_prev[old_to_new[i]] = prev_greedy_[i];
-        }
-      }
-      std::vector<std::uint32_t> seeds;
-      for (std::uint32_t u : color_dirty_) {
-        if (old_to_new[u] != kRemovedSensor) {
-          seeds.push_back(old_to_new[u]);
-        }
-      }
-      for (std::size_t i = 0; i < n_old; ++i) {
-        if (!removed[i] && !touched[i]) continue;
-        for (std::uint32_t t : graph_->neighbors(
-                 static_cast<std::uint32_t>(i))) {
-          if (old_to_new[t] != kRemovedSensor) {
-            seeds.push_back(old_to_new[t]);
-          }
-        }
-      }
-      for (std::uint32_t u : dirty) {
-        seeds.push_back(u);
-        for (std::uint32_t v : next_graph->neighbors(u)) {
-          seeds.push_back(v);
-        }
-      }
-      std::sort(seeds.begin(), seeds.end());
-      seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
-      next_color_dirty = std::move(seeds);
-      next_warm_valid = true;
-    }
   }
-
-  // Region warm state: carry the stitched table onto the new ids and
-  // record every position where the conflict structure changed — the
-  // old positions of removed/moved/reshaped sensors and the new
-  // positions of the delta's own sensors.  plan_regions routes these to
-  // dirty shards; regions untouched within the halo keep their colors.
-  bool next_region_warm = false;
-  std::vector<std::uint32_t> next_region_colors;
-  PointVec next_region_dirty;
-  std::int64_t next_region_reach = region_dirty_reach_;
-  if (region_warm_valid_ && prev_region_colors_.size() == n_old) {
-    next_region_colors.assign(next.size(), kUncolored);
+  std::optional<PlanWarmStart> next_warm;
+  if (small_delta && warm_.has_value() &&
+      warm_->greedy_colors.size() == n_old) {
+    // Carry the greedy table onto the new ids and seed its repair with
+    // every sensor whose conflict row changed: the delta's own sensors,
+    // their old rows in the pre-delta deployment and their new rows.
+    // Seeds not yet consumed by a replan carry over too.
+    PlanWarmStart& warm = next_warm.emplace();
+    warm.greedy_colors.assign(next.size(), kUncolored);
+    std::vector<std::uint32_t> changed;  // old ids removed, moved or reshaped
     for (std::size_t i = 0; i < n_old; ++i) {
       if (old_to_new[i] != kRemovedSensor) {
-        next_region_colors[old_to_new[i]] = prev_region_colors_[i];
+        warm.greedy_colors[old_to_new[i]] = warm_->greedy_colors[i];
+      }
+      if (removed[i] || touched[i]) {
+        changed.push_back(static_cast<std::uint32_t>(i));
       }
     }
-    next_region_dirty = region_dirty_positions_;
-    for (std::size_t i = 0; i < n_old; ++i) {
-      if (removed[i] || touched[i]) next_region_dirty.push_back(pos[i]);
-    }
-    for (std::size_t i = 0; i < n_old; ++i) {
-      // A moved sensor dirties its OLD cell too (neighbors there lost
-      // the conflict); pos[] already holds the new cell.
-      if (touched[i] && !(pos[i] == d.position(i))) {
-        next_region_dirty.push_back(d.position(i));
-      }
-    }
-    for (std::uint32_t u : dirty) {
-      next_region_dirty.push_back(next.position(u));
-    }
-    // Routing must cover the widest reach any of these positions ever
-    // conflicted at (a radius decrease still dirties the old, larger
-    // neighborhood).
-    next_region_reach = std::max(next_region_reach, interference_reach(d));
-    // Past one dirty position per sensor the routing saves nothing —
-    // drop the warm state and let the next replan run cold.
-    next_region_warm = next_region_dirty.size() <= next.size();
-  }
-  if (!next_region_warm) {
-    next_region_colors.clear();
-    next_region_dirty.clear();
-    next_region_reach = 0;
+    warm.dirty = dirty;
+    const auto carry = [&](std::uint32_t u) {
+      if (old_to_new[u] != kRemovedSensor) warm.dirty.push_back(old_to_new[u]);
+    };
+    for (std::uint32_t u : warm_->dirty) carry(u);
+    for (std::uint32_t u : build_conflict_block(d, changed).values) carry(u);
+    const CsrU32 new_rows = build_conflict_block(next, dirty);
+    warm.dirty.insert(warm.dirty.end(), new_rows.values.begin(),
+                      new_rows.values.end());
+    std::sort(warm.dirty.begin(), warm.dirty.end());
+    warm.dirty.erase(std::unique(warm.dirty.begin(), warm.dirty.end()),
+                     warm.dirty.end());
   }
 
   // --- commit -----------------------------------------------------------
   owned_.emplace(std::move(next));
   deployment_ = &*owned_;
   graph_ = std::move(next_graph);
-  warm_valid_ = next_warm_valid;
-  prev_greedy_ = std::move(next_prev);
-  color_dirty_ = std::move(next_color_dirty);
-  region_warm_valid_ = next_region_warm;
-  prev_region_colors_ = std::move(next_region_colors);
-  region_dirty_positions_ = std::move(next_region_dirty);
-  region_dirty_reach_ = next_region_reach;
+  warm_ = std::move(next_warm);
   if (delta.set_channels.has_value()) base_.channels = *delta.set_channels;
   // A delta invalidates the scenario-supplied tiling and any borrowed
   // one-shot conflict graph; the memoized search / patched graph take
@@ -604,38 +543,19 @@ std::vector<PlanResult> PlanSession::replan() {
     }
   }
 
-  // Warm-start the greedy backend with the previous slot table: only
-  // the dirty region is re-colored, and the fixpoint reproduces the
-  // cold greedy coloring exactly.
-  PlanWarmStart warm;
-  if (warm_valid_ && graph_.has_value() &&
-      request.conflict_graph == &*graph_ &&
-      prev_greedy_.size() == deployment_->size() &&
+  // Warm start: the carried fixpoint table and the sensors whose rows
+  // changed since.  greedy repairs it over the graph rows, region-greedy
+  // over streamed rows; both reproduce the cold table exactly.
+  if (warm_.has_value() &&
+      warm_->greedy_colors.size() == deployment_->size() &&
       std::any_of(selected.begin(), selected.end(), [](const Planner* p) {
         return p->wants_warm_start();
       })) {
-    warm.greedy_colors = prev_greedy_;
-    warm.dirty = color_dirty_;
-    request.warm = &warm;
+    request.warm = &*warm_;
     ++stats_.warm_greedy;
   }
-
-  // Region-sharded warm start: the carried stitched table plus the
-  // accumulated dirty positions route this replan to the shards the
-  // deltas touched (exact, like the greedy warm start above).
-  RegionWarmStart region_warm;
   RegionShardStats region_stats;
   request.region_stats = &region_stats;
-  if (region_warm_valid_ &&
-      prev_region_colors_.size() == deployment_->size() &&
-      std::any_of(selected.begin(), selected.end(), [](const Planner* p) {
-        return p->wants_region_shard();
-      })) {
-    region_warm.colors = prev_region_colors_;
-    region_warm.dirty_positions = region_dirty_positions_;
-    region_warm.dirty_reach = region_dirty_reach_;
-    request.region_warm = &region_warm;
-  }
 
   // Backend fan-out: results land in their request slots, so the output
   // order is the request order at any thread count.  Backends that
@@ -646,26 +566,13 @@ std::vector<PlanResult> PlanSession::replan() {
     results[i] = selected[i]->plan(request);
   });
 
-  // Record the greedy table for the next warm start (when greedy ran on
-  // the session-maintained graph).  When greedy sat this replan out the
-  // previous table stays valid — color_dirty_ keeps accumulating.
+  // A warm-capable backend's table is this deployment's greedy fixpoint:
+  // it becomes the carried state and its seed list restarts empty.  When
+  // none ran, the carried table stays valid and the seeds keep
+  // accumulating across deltas.
   for (std::size_t i = 0; i < selected.size(); ++i) {
-    if (selected[i]->wants_warm_start() && results[i].ok &&
-        graph_.has_value() && request.conflict_graph == &*graph_) {
-      prev_greedy_ = results[i].slots.slot;
-      color_dirty_.clear();
-      warm_valid_ = true;
-      break;
-    }
-  }
-  // Likewise for the region-sharded table: its stitched result becomes
-  // the carried state and the dirty-position log restarts empty.
-  for (std::size_t i = 0; i < selected.size(); ++i) {
-    if (selected[i]->wants_region_shard() && results[i].ok) {
-      prev_region_colors_ = results[i].slots.slot;
-      region_dirty_positions_.clear();
-      region_dirty_reach_ = 0;
-      region_warm_valid_ = true;
+    if (selected[i]->wants_warm_start() && results[i].ok) {
+      warm_ = PlanWarmStart{results[i].slots.slot, {}};
       break;
     }
   }

@@ -14,9 +14,13 @@
 //   * the conflict graph is patched incrementally (clean rows remapped,
 //     dirty rows rebuilt locally via the affects relation) instead of
 //     re-running build_conflict_graph;
-//   * the previous greedy slot table warm-starts the greedy backend:
-//     only the dirty region — changed sensors plus their conflict
-//     neighborhoods — is re-colored (incremental_greedy_coloring).
+//   * the previous greedy fixpoint table — the slot table `greedy` and
+//     `region-greedy` both return — is the session's one warm state.
+//     apply() carries it onto the new sensor ids and seeds its repair
+//     with the changed sensors plus their old and new conflict rows
+//     (streamed by build_conflict_block, so no graph is needed); replan()
+//     hands it to both backends, which re-color only that region
+//     (incremental_greedy_coloring over graph rows or streamed rows).
 //
 // The session is exact, not approximate: replan() after ANY delta
 // sequence returns results identical (slots, verdict, optimality gap)
@@ -116,10 +120,11 @@ std::string mutation_trace_to_script(const MutationTrace& trace,
                                      std::size_t dim = 2);
 
 /// Default SessionConfig::graph_patch_dirty_denominator: a delta is
-/// patched incrementally while dirty <= fleet / denominator, i.e. up to
-/// a quarter of the fleet.  Past that the localized rebuild probes more
-/// candidate cells than one clean build_conflict_graph would (measured
-/// by bench_session's patch-threshold sweep).
+/// patched incrementally (and the warm greedy table carried) while
+/// dirty <= fleet / denominator, i.e. up to a quarter of the fleet.
+/// Past that the localized rebuild probes more candidate cells than one
+/// clean build_conflict_graph would (measured by bench_session's
+/// patch-threshold sweep).
 inline constexpr std::size_t kGraphPatchDirtyDenominator = 4;
 
 struct SessionConfig {
@@ -130,22 +135,23 @@ struct SessionConfig {
   SaConfig sa;
   bool verify = true;
   std::uint32_t channels = 1;
-  /// Conflict-graph patch threshold: apply() patches the graph
-  /// incrementally when dirty_sensors * denominator <= fleet_size and
-  /// falls back to a full rebuild otherwise.  1 patches any delta up to
-  /// the whole fleet; larger values are stricter (the default 4 stops
-  /// at a quarter); 0 disables patching entirely — every delta rebuilds
-  /// (the A/B baseline of bench_session's threshold sweep).  Purely a
-  /// performance knob: patched and rebuilt graphs are identical (pinned
-  /// by the session property tests).
+  /// Incremental-state threshold: apply() patches the conflict graph
+  /// and carries the warm greedy table when dirty_sensors * denominator
+  /// <= fleet_size; otherwise the graph is rebuilt and the next greedy /
+  /// region-greedy replan runs cold.  1 carries any delta up to the
+  /// whole fleet; larger values are stricter (the default 4 stops at a
+  /// quarter); 0 disables both entirely — every delta rebuilds (the A/B
+  /// baseline of bench_session's threshold sweep).  Purely a
+  /// performance knob: patched and rebuilt graphs, warm and cold tables
+  /// are identical (pinned by the session property tests).
   std::size_t graph_patch_dirty_denominator = kGraphPatchDirtyDenominator;
   /// Spatial shard count for the region-sharded backend
-  /// (PlanRequest::regions).  When a selected backend plans by region,
-  /// the session routes every delta to the shards it dirties and replans
-  /// only those (SessionStats::regions_replanned counts them).
+  /// (PlanRequest::regions).  Only its cold plans color shards
+  /// (SessionStats::regions_replanned counts them); warm replans repair
+  /// the carried table instead.
   std::size_t regions = 1;
-  /// Region halo override (PlanRequest::region_halo); -1 = the
-  /// deployment's interference reach.
+  /// Ignored: no backend reads a region halo.  The field stays only
+  /// because perfbench/workloads.cpp assigns it.
   std::int64_t region_halo = -1;
   /// Euclidean geometry of the coordinates (PlanRequest::lattice).
   /// Must outlive the session.
@@ -194,7 +200,7 @@ class PlanSession {
 
   /// Plans the current deployment on the session's backends.  Reuses
   /// the patched conflict graph, the memoized torus searches and the
-  /// previous greedy slot table; the results are identical to a cold
+  /// carried greedy fixpoint table; the results are identical to a cold
   /// plan of the current deployment.  Throws std::invalid_argument on
   /// unknown backend names.
   std::vector<PlanResult> replan();
@@ -212,9 +218,9 @@ class PlanSession {
     std::uint64_t deltas = 0;
     std::uint64_t graph_builds = 0;   ///< full build_conflict_graph runs
     std::uint64_t graph_patches = 0;  ///< incremental patches instead
-    std::uint64_t warm_greedy = 0;    ///< greedy replans seeded warm
+    std::uint64_t warm_greedy = 0;    ///< replans seeded with the warm table
     std::uint64_t regions = 0;            ///< largest region partition planned
-    std::uint64_t regions_replanned = 0;  ///< region shards (re)colored
+    std::uint64_t regions_replanned = 0;  ///< region shards colored cold
     std::uint64_t seam_sensors = 0;       ///< seam sensors seen by stitches
     std::uint64_t stitch_recolored = 0;   ///< vertices stitches recolored
   };
@@ -232,7 +238,8 @@ class PlanSession {
   PlanRequest base_;  ///< request template (deployment/graph/warm set per call)
   const PlannerRegistry* planners_;
   std::vector<std::string> backends_;
-  /// SessionConfig::graph_patch_dirty_denominator (0 = never patch).
+  /// SessionConfig::graph_patch_dirty_denominator (0 = never patch or
+  /// carry the warm table).
   std::size_t patch_denominator_ = kGraphPatchDirtyDenominator;
 
   std::optional<Deployment> owned_;     ///< engaged once the session mutates
@@ -245,21 +252,11 @@ class PlanSession {
   /// patch profitably).
   std::optional<Graph> graph_;
 
-  /// Previous greedy slot table carried onto current sensor ids, plus
-  /// the sensors whose conflict rows changed since it was produced.
-  bool warm_valid_ = false;
-  std::vector<std::uint32_t> prev_greedy_;
-  std::vector<std::uint32_t> color_dirty_;
-
-  /// Previous region-sharded slot table carried onto current sensor
-  /// ids, plus every position where the conflict structure changed
-  /// since (and the largest pre-delta interference reach those
-  /// positions were recorded against) — the dirty-region routing state
-  /// of core/region_shard.hpp.
-  bool region_warm_valid_ = false;
-  std::vector<std::uint32_t> prev_region_colors_;
-  PointVec region_dirty_positions_;
-  std::int64_t region_dirty_reach_ = 0;
+  /// The greedy fixpoint table of the last greedy / region-greedy plan,
+  /// carried onto current sensor ids, plus the sensors whose conflict
+  /// rows changed since it was produced.  Absent until such a plan ran
+  /// (or after a delta past the patch threshold).
+  std::optional<PlanWarmStart> warm_;
 
   Stats stats_;
 };

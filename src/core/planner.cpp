@@ -149,15 +149,16 @@ class ColoringPlanner final : public Planner {
 };
 
 // Spatial region sharding (core/region_shard.hpp): the deployment's
-// window is partitioned into halo-grown rectangular shards, each
-// first-fit colored from a streaming per-region CSR block, and the seams
-// stitched back to the exact serial greedy fixpoint.  The one backend
-// that plans million-sensor deployments without materializing the
-// all-pairs conflict graph.
+// window is partitioned into rectangular shards, each first-fit colored
+// from a streaming per-region CSR block, and the seams stitched back to
+// the exact serial greedy fixpoint.  The one backend that plans
+// million-sensor deployments without materializing the all-pairs
+// conflict graph.  A warm start colors no shard; the stitch repairs the
+// carried table instead.
 class RegionGreedyPlanner final : public Planner {
  public:
   std::string name() const override { return "region-greedy"; }
-  bool wants_region_shard() const override { return true; }
+  bool wants_warm_start() const override { return true; }
 
  protected:
   Raw compute(const PlanRequest& request) const override {
@@ -169,7 +170,7 @@ class RegionGreedyPlanner final : public Planner {
     Raw raw;
     raw.slots.slot =
         plan_regions(d, std::max<std::size_t>(request.regions, 1),
-                     request.region_halo, request.region_warm, stats);
+                     request.warm, stats);
     raw.slots.period = color_count(raw.slots.slot);
     raw.slots.source = "region-greedy";
     std::ostringstream os;

@@ -57,7 +57,6 @@ class Lattice;
 class MobileScheduler;
 class TilingCache;
 struct RegionShardStats;
-struct RegionWarmStart;
 
 namespace tune {
 class TuneCache;
@@ -68,7 +67,8 @@ class TuneCache;
 /// The contract is exactness: a warm plan equals the cold plan of the
 /// same request (greedy first-fit is the unique fixpoint of
 /// c(u) = mex of lower-neighbor colors, so incremental repair converges
-/// to the cold answer — see graph/coloring.hpp).
+/// to the cold answer — see graph/coloring.hpp).  `greedy` repairs it
+/// over graph rows and `region-greedy` over streamed rows.
 struct PlanWarmStart {
   /// Greedy slot table of the previous replan, carried onto the CURRENT
   /// sensor ids (kUncolored for sensors without a prior slot).
@@ -129,15 +129,9 @@ struct PlanRequest {
   /// ignore it.
   std::size_t regions = 1;
 
-  /// Region halo override; any value below the deployment's interference
-  /// reach (including the -1 "auto" default) is raised to the reach, so
-  /// the override can only widen dirty-region routing, never break it.
+  /// Ignored: no backend reads a region halo.  The field stays only
+  /// because perfbench/workloads.cpp assigns it.
   std::int64_t region_halo = -1;
-
-  /// Previous region plan for incremental dirty-region replans (supplied
-  /// by PlanSession::replan; see core/region_shard.hpp).  Must outlive
-  /// the call.
-  const RegionWarmStart* region_warm = nullptr;
 
   /// When non-null, the region-sharded backend accumulates its partition
   /// / seam / stitch counters here (flows into SessionStats and the
@@ -249,15 +243,11 @@ class Planner {
   /// prebuilds the graph once iff some selected backend wants it).
   virtual bool wants_conflict_graph() const { return false; }
 
-  /// Whether the backend can exploit PlanRequest::warm (the greedy
-  /// coloring backend re-colors only the dirty region).
+  /// Whether the backend can exploit PlanRequest::warm (`greedy` and
+  /// `region-greedy` re-color only the dirty region).  Such a backend's
+  /// slot table is the greedy fixpoint, which PlanSession carries as the
+  /// next replan's warm start.
   virtual bool wants_warm_start() const { return false; }
-
-  /// Whether the backend consumes PlanRequest::region_warm — the
-  /// region-sharded backend replans only the shards a delta dirtied.
-  /// PlanSession maintains the region warm state iff some selected
-  /// backend asks for it.
-  virtual bool wants_region_shard() const { return false; }
 
   /// Whether plan_all's default "all backends" selection includes this
   /// backend.  The `auto` meta-backend opts out: it delegates to another

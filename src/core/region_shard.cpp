@@ -1,9 +1,8 @@
 #include "core/region_shard.hpp"
 
 #include <algorithm>
-#include <numeric>
-#include <stdexcept>
 
+#include "core/planner.hpp"
 #include "util/parallel.hpp"
 
 namespace latticesched {
@@ -47,10 +46,8 @@ class RowBuilder {
 
 }  // namespace
 
-RegionGrid partition_regions(const Deployment& d, std::size_t regions,
-                             std::int64_t halo) {
+RegionGrid partition_regions(const Deployment& d, std::size_t regions) {
   RegionGrid grid;
-  grid.halo = std::max(halo, interference_reach(d));
   const std::size_t n = d.size();
   if (n == 0) return grid;
 
@@ -133,72 +130,33 @@ RegionGrid partition_regions(const Deployment& d, std::size_t regions,
 }
 
 Coloring plan_regions(const Deployment& d, std::size_t regions,
-                      std::int64_t halo, const RegionWarmStart* warm,
-                      RegionShardStats* stats) {
+                      const PlanWarmStart* warm, RegionShardStats* stats) {
   const std::size_t n = d.size();
   Coloring colors(n, kUncolored);
   if (n == 0) return colors;
 
-  const RegionGrid grid = partition_regions(d, regions, halo);
+  // A warm plan still partitions: the shard count is part of the
+  // backend's reported detail, and it must match the cold plan's.
+  const RegionGrid grid = partition_regions(d, regions);
   const std::size_t total = grid.boxes.size();
 
-  // Dirty-region routing: with warm state, a shard needs re-coloring iff
-  // its halo-expanded box contains a position where the conflict
-  // structure changed — everything further away kept both its row and
-  // (pending the stitch) its fixpoint color.
-  std::vector<std::uint32_t> planned;
-  bool warm_ok = warm != nullptr && warm->colors.size() == n;
-  if (warm_ok) {
-    colors = warm->colors;
-    const std::int64_t route_halo = std::max(grid.halo, warm->dirty_reach);
-    for (std::size_t r = 0; r < total; ++r) {
-      const Box reach = grid.boxes[r].expanded(route_halo);
-      for (const Point& p : warm->dirty_positions) {
-        if (reach.contains(p)) {
-          planned.push_back(static_cast<std::uint32_t>(r));
-          break;
-        }
-      }
-    }
-    // Safety net: a sensor without a carried color must sit in a planned
-    // shard; inconsistent warm state degrades to a cold region plan.
-    std::vector<char> is_planned(total, 0);
-    for (std::uint32_t r : planned) is_planned[r] = 1;
-    for (std::size_t i = 0; i < n && warm_ok; ++i) {
-      if (colors[i] == kUncolored && !is_planned[grid.region_of[i]]) {
-        warm_ok = false;
-      }
-    }
-  }
-  if (!warm_ok) {
-    colors.assign(n, kUncolored);
-    planned.resize(total);
-    std::iota(planned.begin(), planned.end(), 0);
-  }
-
-  // Phase 1 (cold plans): first-fit each shard independently from its
-  // streaming CSR block (intra-region edges only; blocks are discarded
-  // as soon as the shard is colored, so memory stays bounded per region
-  // times the worker count).  Writes touch disjoint index sets, and
-  // cross-region colors are never read, so the fan-out is race-free.
-  //
-  // Warm plans skip this phase: the stitch's change detection compares
-  // against the table it is handed, which must hold exactly the values
-  // the UNTOUCHED shards last observed — the carried fixpoint.  Local
-  // re-coloring would overwrite dirty members with values their clean
-  // neighbors never saw and silently suppress propagation, so dirty
-  // members enter the stitch uncolored instead (the fixpoint repair
-  // seeds every uncolored vertex and always propagates from it).
-  std::vector<char> seam(n, 0);
-  std::uint64_t seam_count = 0;
+  // Warm plans color no shard: the carried table already holds the
+  // previous fixpoint, and the stitch below repairs it from the sensors
+  // whose rows changed (plus every uncolored one).
   std::vector<std::uint32_t> seeds;
+  std::uint64_t seam_count = 0;
+  const bool warm_ok = warm != nullptr && warm->greedy_colors.size() == n;
   if (warm_ok) {
-    for (std::uint32_t r : planned) {
-      for (std::uint32_t u : grid.members[r]) colors[u] = kUncolored;
-    }
+    colors = warm->greedy_colors;
+    seeds = warm->dirty;
   } else {
-    parallel_for(0, planned.size(), [&](std::size_t k) {
-      const std::uint32_t r = planned[k];
+    // Phase 1: first-fit each shard independently from its streaming
+    // CSR block (intra-region edges only; blocks are discarded as soon
+    // as the shard is colored, so memory stays bounded per region times
+    // the worker count).  Writes touch disjoint index sets, and
+    // cross-region colors are never read, so the fan-out is race-free.
+    std::vector<char> seam(n, 0);
+    parallel_for(0, total, [&](std::size_t r) {
       const std::vector<std::uint32_t>& mem = grid.members[r];
       if (mem.empty()) return;
       const CsrU32 block = build_conflict_block(d, mem);
@@ -232,8 +190,8 @@ Coloring plan_regions(const Deployment& d, std::size_t regions,
   }
 
   // Phase 2: stitch back to the global greedy fixpoint.  Rows are
-  // streamed lazily and memoized — only seams, dirty members and
-  // vertices reached by color propagation are ever materialized.
+  // streamed lazily and memoized — only seeds and vertices reached by
+  // color propagation are ever materialized.
   const RowBuilder builder(d);
   std::vector<std::vector<std::uint32_t>> rows(n);
   std::vector<char> have(n, 0);
@@ -250,7 +208,7 @@ Coloring plan_regions(const Deployment& d, std::size_t regions,
 
   if (stats != nullptr) {
     stats->regions += total;
-    stats->regions_planned += planned.size();
+    if (!warm_ok) stats->regions_planned += total;
     stats->seam_sensors += seam_count;
     for (std::size_t i = 0; i < n; ++i) {
       if (colors[i] != before[i]) ++stats->stitch_recolored;

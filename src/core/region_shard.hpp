@@ -8,9 +8,7 @@
 //
 //   1. The partitioner: the deployment's bounding window split into an
 //      axis-aligned grid of ~`regions` rectangular core boxes, each
-//      sensor assigned to exactly one.  Conflicts reach at most the
-//      interference halo (graph/interference.hpp's interference_reach),
-//      so a box grown by the halo bounds everything a region can see.
+//      sensor assigned to exactly one.
 //   2. The region planner: each shard first-fit colored independently
 //      (parallel_for over shards) from a streaming per-region CSR block
 //      (build_conflict_block) — the full all-pairs conflict graph is
@@ -22,11 +20,11 @@
 //      EXACTLY greedy_coloring(build_conflict_graph(d)) — the serial
 //      cold plan — while only seam rows are ever streamed in.
 //
-// Incremental replans route a DeploymentDelta to the regions it touches:
-// a region is dirty iff its halo-expanded box contains a position where
-// the conflict structure changed; only dirty shards are re-colored and
-// the stitch re-runs seeded with their members.  Exactness is preserved
-// (same fixpoint argument), so a warm region plan equals the cold one.
+// Incremental replans color no shard: PlanSession hands the carried
+// fixpoint table and the sensors whose conflict rows changed (the same
+// PlanWarmStart the greedy backend repairs over graph rows), and the
+// stitch pass repairs the table from those seeds over its lazy rows.
+// The same fixpoint argument makes a warm region plan equal the cold one.
 #pragma once
 
 #include <cstdint>
@@ -38,12 +36,14 @@
 
 namespace latticesched {
 
+struct PlanWarmStart;
+
 /// Counters of one plan_regions call.  PlanSession accumulates them into
 /// SessionStats; the batch service and the distributed coordinator merge
 /// them into the report footer.
 struct RegionShardStats {
   std::uint64_t regions = 0;          ///< shards in the partition
-  std::uint64_t regions_planned = 0;  ///< shards (re)colored by this call
+  std::uint64_t regions_planned = 0;  ///< shards colored cold by this call
   std::uint64_t seam_sensors = 0;     ///< planned sensors with cross-region conflicts
   std::uint64_t stitch_recolored = 0; ///< vertices the stitch pass recolored
 };
@@ -55,43 +55,21 @@ struct RegionGrid {
   std::vector<std::uint32_t> region_of;  ///< region index per sensor
   /// Sensor ids per region, ascending (global first-fit order).
   std::vector<std::vector<std::uint32_t>> members;
-  std::int64_t halo = 0;  ///< effective halo (>= interference_reach)
-};
-
-/// Previous-plan state for an incremental region replan, maintained by
-/// PlanSession across deltas.  The contract mirrors PlanWarmStart:
-/// exactness — a warm region plan equals the cold one.
-struct RegionWarmStart {
-  /// Stitched slot table of the previous region plan, carried onto the
-  /// CURRENT sensor ids (kUncolored for sensors without a prior slot).
-  std::vector<std::uint32_t> colors;
-  /// Every position where the conflict structure changed since `colors`:
-  /// old positions of removed/moved/reshaped sensors plus new positions
-  /// of added/moved/reshaped ones.  Routes the delta to dirty regions.
-  PointVec dirty_positions;
-  /// Largest interference reach of the pre-delta deployments those
-  /// positions were recorded against (a radius decrease must still dirty
-  /// the regions the OLD, larger prototile reached).
-  std::int64_t dirty_reach = 0;
 };
 
 /// Splits the deployment's bounding window into an axis-aligned grid of
 /// roughly `regions` rectangular shards (axes with the largest extent are
-/// split first) and assigns every sensor to its shard.  `halo` < the
-/// interference reach (including any negative value, the "auto" request)
-/// is raised to the reach — a smaller halo would let deltas slip past
-/// dirty-region routing.
-RegionGrid partition_regions(const Deployment& d, std::size_t regions,
-                             std::int64_t halo);
+/// split first) and assigns every sensor to its shard.
+RegionGrid partition_regions(const Deployment& d, std::size_t regions);
 
 /// Plans `d` region by region and stitches the seams; returns a slot
 /// table identical to greedy_coloring(build_conflict_graph(d)) without
-/// ever materializing the full conflict graph.  With `warm`, only the
-/// shards dirtied by warm->dirty_positions are re-colored before the
-/// re-stitch (the result is still exactly the cold table).  Counters are
-/// accumulated into `stats` when non-null.
+/// ever materializing the full conflict graph.  With `warm` (a carried
+/// table of d's size), no shard is colored: the table is repaired from
+/// warm->dirty over lazily streamed rows, and the result is still
+/// exactly the cold table.  Counters are accumulated into `stats` when
+/// non-null.
 Coloring plan_regions(const Deployment& d, std::size_t regions,
-                      std::int64_t halo, const RegionWarmStart* warm,
-                      RegionShardStats* stats);
+                      const PlanWarmStart* warm, RegionShardStats* stats);
 
 }  // namespace latticesched

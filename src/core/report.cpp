@@ -68,6 +68,30 @@ void emit_json_object(std::ostream& os, const PlanResultRow& row,
 }
 
 // -- Minimal parsers for the exact formats emitted above ------------------
+//
+// Every number goes through the strict whole-token parsers of
+// util/cli.hpp: a sign, trailing junk or an out-of-range value throws
+// instead of wrapping or truncating.
+
+std::uint32_t parse_u32(const std::string& text, const std::string& what) {
+  const std::uint64_t value = parse_u64(text, what);
+  if (value > 0xFFFFFFFFull) {
+    throw std::invalid_argument("bad " + what + " '" + text + "'");
+  }
+  return static_cast<std::uint32_t>(value);
+}
+
+std::uint32_t json_u32(const std::string& text, const std::string& key) {
+  return parse_u32(json_field(text, key), key);
+}
+
+std::int64_t json_i64(const std::string& text, const std::string& key) {
+  return parse_i64(json_field(text, key), key);
+}
+
+double json_double(const std::string& text, const std::string& key) {
+  return parse_double(json_field(text, key), key);
+}
 
 std::vector<std::string> split_line(const std::string& line) {
   // The only quoted field is the trailing `error`, so split the first 17
@@ -97,20 +121,16 @@ PlanResultRow row_from_json_object(const std::string& obj) {
   row.backend = json_field(obj, "backend");
   row.ok = json_field(obj, "ok") == "true";
   row.sensors = json_u64(obj, "sensors");
-  row.period = static_cast<std::uint32_t>(
-      std::stoul(json_field(obj, "period")));
-  row.lower_bound = static_cast<std::uint32_t>(
-      std::stoul(json_field(obj, "lower_bound")));
-  row.optimality_gap = std::stod(json_field(obj, "optimality_gap"));
+  row.period = json_u32(obj, "period");
+  row.lower_bound = json_u32(obj, "lower_bound");
+  row.optimality_gap = json_double(obj, "optimality_gap");
   row.collision_free = json_field(obj, "collision_free") == "true";
   row.verified = json_field(obj, "verified") == "true";
-  row.slot_balance = std::stod(json_field(obj, "slot_balance"));
-  row.duty_cycle = std::stod(json_field(obj, "duty_cycle"));
-  row.wall_ms = std::stod(json_field(obj, "wall_ms"));
-  row.channels = static_cast<std::uint32_t>(
-      std::stoul(json_field(obj, "channels")));
-  row.effective_period = static_cast<std::uint32_t>(
-      std::stoul(json_field(obj, "effective_period")));
+  row.slot_balance = json_double(obj, "slot_balance");
+  row.duty_cycle = json_double(obj, "duty_cycle");
+  row.wall_ms = json_double(obj, "wall_ms");
+  row.channels = json_u32(obj, "channels");
+  row.effective_period = json_u32(obj, "effective_period");
   row.tuned = json_field(obj, "tuned");
   row.tuned_config = json_field(obj, "tuned_config");
   row.detail = json_field(obj, "detail");
@@ -183,20 +203,20 @@ std::vector<PlanResultRow> parse_plan_results_csv(const std::string& csv) {
     const std::vector<std::string> f = split_line(line);
     PlanResultRow row;
     row.scenario = f[0];
-    row.step = std::stoull(f[1]);
+    row.step = parse_u64(f[1], "step");
     row.backend = f[2];
     row.ok = f[3] == "1";
-    row.sensors = std::stoull(f[4]);
-    row.period = static_cast<std::uint32_t>(std::stoul(f[5]));
-    row.lower_bound = static_cast<std::uint32_t>(std::stoul(f[6]));
-    row.optimality_gap = std::stod(f[7]);
+    row.sensors = parse_u64(f[4], "sensors");
+    row.period = parse_u32(f[5], "period");
+    row.lower_bound = parse_u32(f[6], "lower_bound");
+    row.optimality_gap = parse_double(f[7], "optimality_gap");
     row.collision_free = f[8] == "1";
     row.verified = f[9] == "1";
-    row.slot_balance = std::stod(f[10]);
-    row.duty_cycle = std::stod(f[11]);
-    row.wall_ms = std::stod(f[12]);
-    row.channels = static_cast<std::uint32_t>(std::stoul(f[13]));
-    row.effective_period = static_cast<std::uint32_t>(std::stoul(f[14]));
+    row.slot_balance = parse_double(f[10], "slot_balance");
+    row.duty_cycle = parse_double(f[11], "duty_cycle");
+    row.wall_ms = parse_double(f[12], "wall_ms");
+    row.channels = parse_u32(f[13], "channels");
+    row.effective_period = parse_u32(f[14], "effective_period");
     row.tuned = f[15];
     row.tuned_config = f[16];
     row.error = f[17];
@@ -340,8 +360,7 @@ BatchReport parse_batch_report_json(const std::string& json) {
       item.scenario = json_field(line, "scenario");
       item.label = json_field(line, "label");
       item.sensors = json_u64(line, "sensors");
-      item.channels = static_cast<std::uint32_t>(
-          std::stoul(json_field(line, "channels")));
+      item.channels = json_u32(line, "channels");
       declared_steps = json_u64(line, "steps");
       item.built = json_field(line, "built") == "true";
       item.error = json_field(line, "error");
@@ -385,11 +404,14 @@ BatchReport parse_batch_report_json(const std::string& json) {
       std::istringstream list(line.substr(open + 1, close - open - 1));
       std::string token;
       while (std::getline(list, token, ',')) {
-        if (token.find_first_not_of(" \t") == std::string::npos) continue;
-        report.quarantined_items.push_back(std::stoull(token));
+        const std::size_t first = token.find_first_not_of(" \t");
+        if (first == std::string::npos) continue;
+        const std::size_t last = token.find_last_not_of(" \t");
+        report.quarantined_items.push_back(parse_u64(
+            token.substr(first, last + 1 - first), "quarantined_items"));
       }
     } else if (line.find("\"wall_ms\": ") != std::string::npos) {
-      report.wall_seconds = std::stod(json_field(line, "wall_ms")) / 1e3;
+      report.wall_seconds = json_double(line, "wall_ms") / 1e3;
       saw_wall = true;
     }
   }
@@ -454,20 +476,18 @@ std::vector<BatchItem> parse_batch_items_json(const std::string& json) {
     if (line.find("\"scenario\": ") == std::string::npos) continue;
     BatchItem item;
     item.query.scenario = json_field(line, "scenario");
-    item.query.params.n = std::stoll(json_field(line, "n"));
-    item.query.params.radius = std::stoll(json_field(line, "radius"));
+    item.query.params.n = json_i64(line, "n");
+    item.query.params.radius = json_i64(line, "radius");
     item.query.params.seed = json_u64(line, "seed");
-    item.query.params.channels = static_cast<std::uint32_t>(
-        std::stoul(json_field(line, "channels")));
-    item.query.params.density = std::stod(json_field(line, "density"));
-    item.query.params.steps = std::stoll(json_field(line, "steps"));
+    item.query.params.channels = json_u32(line, "channels");
+    item.query.params.density = json_double(line, "density");
+    item.query.params.steps = json_i64(line, "steps");
     item.trace_script = json_field(line, "trace_script");
     item.backends = split_csv_list(json_field(line, "backends"));
     item.verify = json_field(line, "verify") == "true";
     item.regions = json_u64(line, "regions");
-    item.region_halo = std::stoll(json_field(line, "region_halo"));
-    item.search.max_period_cells =
-        std::stoll(json_field(line, "max_period_cells"));
+    item.region_halo = json_i64(line, "region_halo");
+    item.search.max_period_cells = json_i64(line, "max_period_cells");
     item.search.node_limit = json_u64(line, "node_limit");
     item.search.require_all_prototiles =
         json_field(line, "require_all_prototiles") == "true";
@@ -475,9 +495,8 @@ std::vector<BatchItem> parse_batch_items_json(const std::string& json) {
         json_field(line, "use_dense_engine") == "true";
     item.search.use_parallel = json_field(line, "use_parallel") == "true";
     item.sa.max_iters = json_u64(line, "sa_max_iters");
-    item.sa.initial_temperature =
-        std::stod(json_field(line, "sa_initial_temperature"));
-    item.sa.cooling = std::stod(json_field(line, "sa_cooling"));
+    item.sa.initial_temperature = json_double(line, "sa_initial_temperature");
+    item.sa.cooling = json_double(line, "sa_cooling");
     item.sa.seed = json_u64(line, "sa_seed");
     item.sa.restarts = json_u64(line, "sa_restarts");
     // Optional (absent in pre-v7 payloads): auto-backend tuning budgets.

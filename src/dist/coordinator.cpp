@@ -17,6 +17,7 @@
 #include "dist/faults.hpp"
 #include "dist/process.hpp"
 #include "dist/wire.hpp"
+#include "util/cli.hpp"
 
 namespace latticesched::dist {
 
@@ -527,7 +528,7 @@ BatchReport ShardCoordinator::run(const std::vector<BatchItem>& items) {
         }
         std::string shard_id, report_json;
         split_body(message.body, &shard_id, &report_json);
-        const std::size_t shard = std::stoull(shard_id);
+        const std::size_t shard = parse_u64(shard_id, "RESULT shard id");
         const auto owned =
             shard < shards.size()
                 ? std::find(s.queue.begin(), s.queue.end(), shard)

@@ -246,9 +246,6 @@ int run(int argc, char** argv) {
   cli.add_int_flag("regions", 1, 1,
                    "spatial shard count for the region-greedy backend "
                    "(1 = unsharded)");
-  cli.add_int_flag("region-halo", -1, -1,
-                   "region halo override in lattice cells (-1 = the "
-                   "deployment's interference reach)");
   cli.add_flag("list-backends", "false",
                "print the registered planner backends and exit");
   cli.add_int_flag("steps", 0, 0,
@@ -487,7 +484,6 @@ int run(int argc, char** argv) {
             item.trace_script = trace_script;
             item.backends = backends;
             item.regions = static_cast<std::size_t>(cli.get_int("regions"));
-            item.region_halo = cli.get_int("region-halo");
             item.sa.max_iters =
                 static_cast<std::uint64_t>(cli.get_int("sa-iters"));
             item.tune_trials =

@@ -50,55 +50,12 @@ Coloring greedy_coloring(const Graph& g) {
 Coloring incremental_greedy_coloring(
     const Graph& g, Coloring previous,
     const std::vector<std::uint32_t>& dirty) {
-  if (previous.size() != g.size()) {
-    throw std::invalid_argument(
-        "incremental_greedy_coloring: coloring/graph size mismatch");
-  }
-  // Min-heap keyed by vertex id: popping ascending guarantees every
-  // lower-index neighbor holds its final color when a vertex is
-  // re-evaluated (changes only ever push HIGHER ids).
-  std::priority_queue<std::uint32_t, std::vector<std::uint32_t>,
-                      std::greater<std::uint32_t>> queue;
-  std::vector<char> queued(g.size(), 0);
-  const auto push = [&](std::uint32_t u) {
-    if (!queued[u]) {
-      queued[u] = 1;
-      queue.push(u);
-    }
-  };
-  for (std::uint32_t u : dirty) {
-    if (u >= g.size()) {
-      throw std::invalid_argument(
-          "incremental_greedy_coloring: dirty vertex out of range");
-    }
-    push(u);
-  }
-  for (std::uint32_t u = 0; u < g.size(); ++u) {
-    if (previous[u] == kUncolored) push(u);
-  }
-
-  std::vector<bool> used;
-  while (!queue.empty()) {
-    const std::uint32_t u = queue.top();
-    queue.pop();
-    queued[u] = 0;
-    used.assign(g.degree(u) + 2, false);
-    for (std::uint32_t v : g.neighbors(u)) {
-      if (v < u && previous[v] != kUncolored &&
-          previous[v] < used.size()) {
-        used[previous[v]] = true;
-      }
-    }
-    std::uint32_t c = 0;
-    while (used[c]) ++c;
-    if (c != previous[u]) {
-      previous[u] = c;
-      for (std::uint32_t v : g.neighbors(u)) {
-        if (v > u) push(v);
-      }
-    }
-  }
-  return previous;
+  return incremental_greedy_coloring(
+      g.size(),
+      [&g](std::uint32_t u) -> const std::vector<std::uint32_t>& {
+        return g.neighbors(u);
+      },
+      std::move(previous), dirty);
 }
 
 Coloring incremental_greedy_coloring(std::size_t n,
@@ -109,6 +66,9 @@ Coloring incremental_greedy_coloring(std::size_t n,
     throw std::invalid_argument(
         "incremental_greedy_coloring: coloring/vertex-count mismatch");
   }
+  // Min-heap keyed by vertex id: popping ascending guarantees every
+  // lower-index neighbor holds its final color when a vertex is
+  // re-evaluated (changes only ever push HIGHER ids).
   std::priority_queue<std::uint32_t, std::vector<std::uint32_t>,
                       std::greater<std::uint32_t>> queue;
   std::vector<char> queued(n, 0);

@@ -45,7 +45,8 @@ inline constexpr std::uint32_t kUncolored =
 /// Greedy first-fit is the unique fixpoint of c(u) = mex{c(j) : j < u,
 /// j ~ u}, so re-evaluating dirty vertices in ascending order and
 /// propagating color changes upward reproduces greedy_coloring(g)
-/// exactly while only touching the changed region.
+/// exactly while only touching the changed region.  Reads g's rows
+/// through the row-provider overload below.
 Coloring incremental_greedy_coloring(const Graph& g, Coloring previous,
                                      const std::vector<std::uint32_t>& dirty);
 
@@ -55,9 +56,9 @@ Coloring incremental_greedy_coloring(const Graph& g, Coloring previous,
 using NeighborProvider =
     std::function<const std::vector<std::uint32_t>&(std::uint32_t)>;
 
-/// Same fixpoint repair as the Graph overload, but with neighbor rows
-/// supplied lazily by `neighbors` instead of a materialized adjacency —
-/// the region-sharded planner stitches seam sensors of million-vertex
+/// The fixpoint repair itself, with neighbor rows supplied lazily by
+/// `neighbors` instead of a materialized adjacency — the region-sharded
+/// planner stitches seams and repairs warm tables of million-vertex
 /// conflict graphs without ever holding the full edge set.  Rows are
 /// only requested for dirty vertices and vertices reached by color
 /// propagation.

@@ -119,7 +119,7 @@ PointVec conflict_candidate_offsets(const Deployment& d, std::uint32_t type);
 
 /// Chebyshev interference reach of the deployment: the largest l-inf
 /// norm over every type's candidate offsets.  Sensors further apart than
-/// this can never conflict — the halo width of the region sharder.
+/// this can never conflict (the tuner fingerprints it as the radius).
 std::int64_t interference_reach(const Deployment& d);
 
 /// Streaming per-region conflict rows: a CSR block with one row per

@@ -58,8 +58,6 @@ const KnobSpace& KnobSpace::global() {
        "starting temperature of the geometric cooling schedule"},
       {"region-greedy", "regions", 1.0, 1.0, 64.0, 4.0, true,
        "spatial shard count of the streaming conflict-block planner"},
-      {"region-greedy", "region_halo", -1.0, -1.0, 16.0, 2.0, false,
-       "shard halo width (-1 = auto: the interference reach)"},
       {"mobile", "node_limit", 20'000'000.0, 10'000.0, 80'000'000.0, 4.0,
        true, "torus-search placement budget of the underlying tiling"},
       // Session-level knobs: declared (serialized, listed, benched) but
@@ -150,8 +148,6 @@ void apply_config(const TunedConfig& config, PlanRequest* request) {
       request->sa.initial_temperature = value;
     } else if (knob == "regions") {
       request->regions = static_cast<std::size_t>(value);
-    } else if (knob == "region_halo") {
-      request->region_halo = static_cast<std::int64_t>(value);
     }
     // Unknown or session-level knobs fall through untouched: a cache
     // entry written by a future version with more knobs still applies

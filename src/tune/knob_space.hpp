@@ -101,7 +101,7 @@ struct TunedConfig {
 TunedConfig default_config(const std::string& backend);
 
 /// Applies `config`'s knob values onto the request fields the delegate
-/// backend reads (search/sa/regions/region_halo).  Session-level knobs
+/// backend reads (search/sa/regions).  Session-level knobs
 /// ("" backend) are skipped — they have no per-request field.
 void apply_config(const TunedConfig& config, PlanRequest* request);
 

@@ -7,14 +7,33 @@
 
 namespace latticesched {
 
-std::uint64_t parse_u64(const std::string& text, const std::string& what) {
-  std::uint64_t value = 0;
+namespace {
+
+/// std::from_chars over the whole of `text`: an empty token, a leftover
+/// character or an out-of-range value throws naming `what`.
+template <typename T>
+T parse_whole(const std::string& text, const std::string& what) {
+  T value{};
   const char* const end = text.data() + text.size();
   const auto [stop, error] = std::from_chars(text.data(), end, value);
   if (error != std::errc() || stop != end) {
     throw std::invalid_argument("bad " + what + " '" + text + "'");
   }
   return value;
+}
+
+}  // namespace
+
+std::uint64_t parse_u64(const std::string& text, const std::string& what) {
+  return parse_whole<std::uint64_t>(text, what);
+}
+
+std::int64_t parse_i64(const std::string& text, const std::string& what) {
+  return parse_whole<std::int64_t>(text, what);
+}
+
+double parse_double(const std::string& text, const std::string& what) {
+  return parse_whole<double>(text, what);
 }
 
 std::vector<std::string> split_csv_list(const std::string& csv) {

@@ -26,6 +26,13 @@ std::vector<std::string> split_csv_list(const std::string& csv);
 /// one strict parse behind wire ids, JSON counters and fault plans.
 std::uint64_t parse_u64(const std::string& text, const std::string& what);
 
+/// parse_u64's signed form: an optional '-' then digits, nothing else.
+std::int64_t parse_i64(const std::string& text, const std::string& what);
+
+/// parse_u64's floating-point form: the whole token must be one decimal
+/// or exponent number (or inf / nan) with no '+', whitespace or junk.
+double parse_double(const std::string& text, const std::string& what);
+
 /// The candidate closest to `name` by edit distance, or "" when nothing
 /// is plausibly a typo (distance > max(2, |name| / 3)).  Ties resolve
 /// to the earliest candidate, so registry order makes the suggestion

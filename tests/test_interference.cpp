@@ -76,6 +76,7 @@ TEST(ConflictGraph, AdjacentChebyshevSensorsConflict) {
   EXPECT_TRUE(g.has_edge(1, 2));
   EXPECT_FALSE(g.has_edge(0, 2));  // distance 3: disjoint
   EXPECT_EQ(g.degree(3), 0u);
+  EXPECT_EQ(interference_reach(d), 2);  // the farthest possible conflict
 }
 
 TEST(AffectsDigraph, MatchesCoverage) {

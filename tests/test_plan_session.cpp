@@ -1,10 +1,11 @@
 // PlanSession tests: the incremental session API.  The load-bearing
 // pin is delta/cold EQUIVALENCE — replan() after any delta sequence
-// must produce results identical (slots, verdict, optimality gap) to a
-// cold Planner::plan of the final deployment, for every backend and
-// every dynamic scenario — plus the incremental-reuse accounting
-// (graph patches instead of rebuilds, warm greedy recoloring) and the
-// >= 5x incremental-vs-cold wall-clock pin on small-delta steps.
+// must produce results identical (slots, verdict, optimality gap,
+// detail text) to a cold Planner::plan of the final deployment, for
+// every backend and every dynamic scenario — plus the incremental-reuse
+// accounting (graph patches instead of rebuilds, warm greedy
+// recoloring) and the >= 5x incremental-vs-cold wall-clock pin on
+// small-delta steps.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -25,6 +26,7 @@ void expect_equivalent(const PlanResult& warm, const PlanResult& cold) {
   EXPECT_EQ(warm.ok, cold.ok) << warm.backend << ": " << warm.error << " / "
                               << cold.error;
   EXPECT_EQ(warm.error, cold.error) << warm.backend;
+  EXPECT_EQ(warm.detail, cold.detail) << warm.backend;
   EXPECT_EQ(warm.slots.slot, cold.slots.slot) << warm.backend;
   EXPECT_EQ(warm.slots.period, cold.slots.period) << warm.backend;
   EXPECT_EQ(warm.collision_free, cold.collision_free) << warm.backend;
@@ -265,8 +267,8 @@ TEST(PlanSession, WarmGreedyStaysExactOverLongDeltaChains) {
 TEST(PlanSession, PropertyRandomDeltaSequencesEqualColdForEveryBackend) {
   set_parallel_threads(1);
   const std::vector<std::string> backends = {
-      "tiling", "greedy", "welsh-powell", "dsatur", "annealing", "tdma",
-      "mobile"};
+      "tiling", "greedy", "welsh-powell", "dsatur", "annealing",
+      "region-greedy", "tdma", "mobile"};
   for (const char* scenario : {"grid", "mobile", "random-subset"}) {
     ScenarioParams params;
     params.n = 5;
@@ -321,7 +323,7 @@ TEST(PlanSession, PropertyRandomDeltaSequencesEqualColdForEveryBackend) {
 TEST(PlanSession, DynamicScenarioTracesEqualColdAtEveryStep) {
   set_parallel_threads(1);
   const std::vector<std::string> backends = {"tiling", "greedy", "dsatur",
-                                             "tdma"};
+                                             "region-greedy", "tdma"};
   for (const char* name : {"grid-failures", "mobile-churn",
                            "radius-degradation", "staged-rollout"}) {
     ScenarioParams params;

@@ -52,7 +52,7 @@ Coloring serial_greedy(const Deployment& d) {
 TEST(RegionShard, PartitionCoversEverySensorExactlyOnce) {
   const Deployment d = grid_deployment(13);
   for (const std::size_t regions : {1, 3, 4, 9, 50}) {
-    const RegionGrid grid = partition_regions(d, regions, -1);
+    const RegionGrid grid = partition_regions(d, regions);
     ASSERT_EQ(grid.region_of.size(), d.size());
     std::size_t total = 0;
     for (std::size_t r = 0; r < grid.members.size(); ++r) {
@@ -65,17 +65,7 @@ TEST(RegionShard, PartitionCoversEverySensorExactlyOnce) {
       total += grid.members[r].size();
     }
     EXPECT_EQ(total, d.size());
-    EXPECT_GE(grid.halo, interference_reach(d));
   }
-}
-
-TEST(RegionShard, HaloNeverBelowInterferenceReach) {
-  const Deployment d = grid_deployment(8, 2);
-  // r=2 Chebyshev ball: offsets a-b reach norm_inf 4.
-  EXPECT_EQ(interference_reach(d), 4);
-  EXPECT_EQ(partition_regions(d, 4, -1).halo, 4);
-  EXPECT_EQ(partition_regions(d, 4, 1).halo, 4);   // raised to the reach
-  EXPECT_EQ(partition_regions(d, 4, 7).halo, 7);   // widening is allowed
 }
 
 TEST(RegionShard, ConflictBlockMatchesFullGraphRows) {
@@ -105,7 +95,7 @@ TEST(RegionShard, ColdPlanIdenticalToSerialGreedy) {
       for (const std::size_t regions : {1, 2, 4, 9}) {
         RegionShardStats stats;
         const Coloring sharded =
-            plan_regions(d, regions, -1, nullptr, &stats);
+            plan_regions(d, regions, nullptr, &stats);
         EXPECT_EQ(sharded, serial)
             << "n=" << n << " r=" << r << " regions=" << regions;
         EXPECT_EQ(stats.regions, stats.regions_planned);
@@ -119,7 +109,7 @@ TEST(RegionShard, ColdPlanIdenticalOnMixedPrototiles) {
     const Deployment d = mixed_scatter(12, seed);
     const Coloring serial = serial_greedy(d);
     for (const std::size_t regions : {3, 6}) {
-      EXPECT_EQ(plan_regions(d, regions, -1, nullptr, nullptr), serial)
+      EXPECT_EQ(plan_regions(d, regions, nullptr, nullptr), serial)
           << "seed=" << seed << " regions=" << regions;
     }
   }
@@ -131,7 +121,7 @@ TEST(RegionShard, StitchedPlanIsAlwaysProper) {
     const Graph g = build_conflict_graph(d);
     for (const std::size_t regions : {2, 5, 8}) {
       EXPECT_TRUE(is_proper_coloring(
-          g, plan_regions(d, regions, -1, nullptr, nullptr)))
+          g, plan_regions(d, regions, nullptr, nullptr)))
           << "seed=" << seed << " regions=" << regions;
     }
   }
@@ -181,47 +171,78 @@ TEST(RegionShard, WarmReplanMatchesColdAfterDeltaSequence) {
   check("after radius change");
 }
 
-TEST(RegionShard, SessionRoutesDeltaToDirtyRegionOnly) {
+TEST(RegionShard, WarmRegionReplanRecolorsOnlyChangedSlots) {
   SessionConfig config;
   config.backends = {"region-greedy"};
   config.regions = 4;
   PlanSession session(grid_deployment(16), config);
-  (void)session.replan();
+  const Coloring cold = session.replan()[0].slots.slot;
   const PlanSession::Stats after_cold = session.stats();
   EXPECT_EQ(after_cold.regions, 4u);
   EXPECT_EQ(after_cold.regions_replanned, 4u);  // cold = every shard
 
-  // One sensor deep inside region 0 dies: with a halo of 2 the dirty
-  // neighborhood stays inside that region's expanded box, so exactly
-  // one shard replans.
+  // One sensor inside region 0 dies.  The warm replan colors no shard:
+  // the stitch repairs the carried table, so it recolors exactly the
+  // sensors whose slot differs from that table.
+  const std::size_t victim = *session.deployment().sensor_at(Point{1, 1});
   DeploymentDelta delta;
   delta.remove_sensors = {Point{1, 1}};
   session.apply(delta);
-  (void)session.replan();
+  const Coloring warm = session.replan()[0].slots.slot;
   const PlanSession::Stats after_delta = session.stats();
-  EXPECT_EQ(after_delta.regions_replanned - after_cold.regions_replanned,
-            1u);
-  EXPECT_EQ(session.replan()[0].slots.slot,
-            serial_greedy(session.deployment()));
+  EXPECT_EQ(after_delta.regions_replanned, after_cold.regions_replanned);
+
+  Coloring carried = cold;
+  carried.erase(carried.begin() + static_cast<std::ptrdiff_t>(victim));
+  ASSERT_EQ(carried.size(), warm.size());
+  std::uint64_t changed = 0;
+  for (std::size_t i = 0; i < warm.size(); ++i) {
+    if (warm[i] != carried[i]) ++changed;
+  }
+  EXPECT_GT(changed, 0u);
+  EXPECT_EQ(after_delta.stitch_recolored - after_cold.stitch_recolored,
+            changed);
+  EXPECT_EQ(warm, serial_greedy(session.deployment()));
 }
 
 TEST(RegionShard, RandomChurnKeepsWarmAndColdIdentical) {
+  // A region-only session: its warm table is carried and seeded without
+  // any conflict graph, through removals, additions, moves and radius
+  // changes.
   Rng rng(11);
   SessionConfig config;
   config.backends = {"region-greedy"};
   config.regions = 6;
   PlanSession session(grid_deployment(12), config);
   (void)session.replan();
+  const std::uint64_t cold_shards = session.stats().regions_replanned;
   std::int64_t spare_row = 12;
-  for (int step = 0; step < 6; ++step) {
+  const auto random_position = [&] {
+    return session.deployment().position(
+        rng.next_below(session.deployment().size()));
+  };
+  for (int step = 0; step < 8; ++step) {
     DeploymentDelta delta;
-    if (step % 2 == 0) {
-      delta.remove_sensors = {session.deployment().position(
-          rng.next_below(session.deployment().size()))};
-    } else {
-      delta.add_sensors.push_back(DeploymentDelta::SensorAdd{
-          Point{spare_row, static_cast<std::int64_t>(step)}, std::nullopt});
-      ++spare_row;
+    switch (step % 4) {
+      case 0:
+        delta.remove_sensors = {random_position()};
+        break;
+      case 1:
+        delta.add_sensors.push_back(DeploymentDelta::SensorAdd{
+            Point{spare_row++, static_cast<std::int64_t>(step)},
+            std::nullopt});
+        break;
+      case 2:
+        delta.move_sensors.push_back(DeploymentDelta::SensorMove{
+            random_position(),
+            Point{spare_row++, static_cast<std::int64_t>(step)}});
+        break;
+      default: {
+        DeploymentDelta::RadiusChange rc;
+        rc.sensors = {random_position()};
+        rc.radius = 2;
+        delta.set_radius.push_back(std::move(rc));
+      }
     }
     session.apply(delta);
     const std::vector<PlanResult> results = session.replan();
@@ -229,6 +250,9 @@ TEST(RegionShard, RandomChurnKeepsWarmAndColdIdentical) {
     EXPECT_EQ(results[0].slots.slot, serial_greedy(session.deployment()))
         << "step " << step;
   }
+  EXPECT_EQ(session.stats().graph_builds, 0u);
+  EXPECT_EQ(session.stats().warm_greedy, 8u);
+  EXPECT_EQ(session.stats().regions_replanned, cold_shards);
 }
 
 TEST(RegionShard, GridLargeScenarioGeneratesLinearly) {

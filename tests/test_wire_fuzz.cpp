@@ -432,6 +432,36 @@ TEST(WireFuzz, BatchItemParsersRejectGarbageWithCleanErrors) {
                std::exception);
   // Garbage without a scenario key parses to an empty batch.
   EXPECT_TRUE(parse_batch_items_json("hello\nworld\n").empty());
+  // Numbers parse as whole tokens and in range: a sign, trailing junk
+  // or a value past uint32_t must throw, not wrap or truncate.
+  const auto with = [](std::string text, const std::string& from,
+                       const std::string& to) {
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? text : text.replace(at, from.size(), to);
+  };
+  PlanResult result;
+  result.backend = "greedy";
+  result.ok = true;
+  result.slots.period = 4;
+  result.slots.slot.assign(3, 0);
+  const std::string row = plan_results_to_json({result}, "grid");
+  EXPECT_EQ(parse_plan_results_json(row).size(), 1u);
+  for (const auto& [from, to] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"\"period\": 4", "\"period\": -1"},
+           {"\"period\": 4", "\"period\": 12abc"},
+           {"\"optimality_gap\": 0", "\"optimality_gap\": 1x"},
+           {"\"channels\": 1", "\"channels\": 4294967297"}}) {
+    EXPECT_THROW((void)parse_plan_results_json(with(row, from, to)),
+                 std::invalid_argument)
+        << to;
+  }
+  const std::string items = batch_items_to_json({BatchItem{}});
+  EXPECT_EQ(parse_batch_items_json(items).size(), 1u);
+  EXPECT_THROW(
+      (void)parse_batch_items_json(with(items, "\"n\": 12", "\"n\": 12x")),
+      std::invalid_argument);
   // Batch reports: truncated/garbage inputs throw.
   EXPECT_THROW((void)parse_batch_report_json(""), std::invalid_argument);
   EXPECT_THROW((void)parse_batch_report_json("{\"items\": [\n"),
