@@ -1,12 +1,14 @@
 #include "core/plan_session.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 
 #include "core/region_shard.hpp"
 #include "graph/coloring.hpp"
 #include "tiling/shapes.hpp"
+#include "util/cli.hpp"
 #include "util/parallel.hpp"
 
 namespace latticesched {
@@ -33,14 +35,21 @@ std::vector<std::string> tokenize(const std::string& line) {
                               ": " + what);
 }
 
+/// Strict numbers (util/cli.hpp): junk, overflow or — for the unsigned
+/// form — a sign is a script error naming the line.
 std::int64_t parse_int(const std::string& tok, std::size_t line_no) {
   try {
-    std::size_t used = 0;
-    const std::int64_t v = std::stoll(tok, &used);
-    if (used != tok.size()) throw std::invalid_argument(tok);
-    return v;
-  } catch (const std::exception&) {
-    script_error(line_no, "expected an integer, got '" + tok + "'");
+    return parse_i64(tok, "integer");
+  } catch (const std::invalid_argument& e) {
+    script_error(line_no, e.what());
+  }
+}
+
+std::uint64_t parse_uint(const std::string& tok, std::size_t line_no) {
+  try {
+    return parse_u64(tok, "unsigned integer");
+  } catch (const std::invalid_argument& e) {
+    script_error(line_no, e.what());
   }
 }
 
@@ -86,9 +95,7 @@ MutationTrace parse_mutation_script(const std::string& text) {
     if (op == "step") {
       if (tokens.size() > 2) script_error(line_no, "usage: step [AT]");
       const std::uint64_t at =
-          tokens.size() == 2
-              ? static_cast<std::uint64_t>(parse_int(tokens[1], line_no))
-              : last_at + 1;
+          tokens.size() == 2 ? parse_uint(tokens[1], line_no) : last_at + 1;
       if (at <= last_at) {
         script_error(line_no, "step timestamps must be strictly increasing");
       }
@@ -142,8 +149,10 @@ MutationTrace parse_mutation_script(const std::string& text) {
       current->set_radius.push_back(std::move(rc));
     } else if (op == "channels") {
       if (tokens.size() != 2) script_error(line_no, "usage: channels C");
-      const std::int64_t c = parse_int(tokens[1], line_no);
-      if (c < 1) script_error(line_no, "channels must be >= 1");
+      const std::uint64_t c = parse_uint(tokens[1], line_no);
+      if (c < 1 || c > UINT32_MAX) {
+        script_error(line_no, "channels must be in [1, 4294967295]");
+      }
       current->set_channels = static_cast<std::uint32_t>(c);
     } else {
       script_error(line_no, "unknown directive '" + op + "'");

@@ -27,8 +27,8 @@
 // to a cold Planner::plan of the final deployment — pinned by the
 // delta/cold property tests.  PlannerRegistry::plan_all is a thin
 // wrapper over a single-step session, so every existing consumer
-// (examples, PlanService, the distributed worker loop) already runs on
-// this API.
+// (examples, PlanService, and through it every server connection and
+// fleet worker) already runs on this API.
 //
 // MutationTrace packages a timestamped delta sequence; dynamic
 // scenarios (core/scenario.hpp) generate them and the driver's

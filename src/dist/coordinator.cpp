@@ -18,6 +18,7 @@
 #include "dist/process.hpp"
 #include "dist/wire.hpp"
 #include "util/cli.hpp"
+#include "util/json.hpp"
 
 namespace latticesched::dist {
 
@@ -482,10 +483,16 @@ BatchReport ShardCoordinator::run(const std::vector<BatchItem>& items) {
           continue;
         }
         if (message.verb == "HELLO") {
-          // Exact-body match: a substring test would accept version 10
-          // as version 1 — the opposite of a fail-fast handshake.
-          if (message.body !=
-              "{\"protocol\": " + std::to_string(kProtocolVersion) + "}") {
+          // The whole version number: a substring test would accept
+          // version 10 as version 1 — the opposite of a fail-fast
+          // handshake.  Other fields (the server's "role") ride along.
+          std::uint64_t protocol = 0;
+          try {
+            protocol = json_u64(message.body, "protocol");
+          } catch (const std::invalid_argument&) {
+            // Missing or garbled: reported as the mismatch below.
+          }
+          if (protocol != static_cast<std::uint64_t>(kProtocolVersion)) {
             throw std::runtime_error(
                 "ShardCoordinator: worker protocol mismatch: " +
                 message.body);

@@ -15,8 +15,9 @@
 // write is bounded by `worker_timeout_ms`, and each worker runs the
 // ek-kor2-shaped liveness state machine Unknown → Alive → Suspect →
 // Dead — a missed deadline moves it to Suspect and sends a PING; a
-// healthy-but-busy worker answers PONG from its reader thread, while a
-// silent one is SIGKILLed, reaped, counted in
+// healthy-but-busy worker (serve::PlanServer::serve_fd on its
+// socketpair) answers PONG from its connection's reader thread, while
+// a silent one is SIGKILLed, reaped, counted in
 // BatchReport::worker_timeouts, and its shards reassigned (crashes —
 // EOF/EPIPE — count in worker_failures instead).  Dead slots are
 // respawned up to `retries` times with bounded exponential backoff and

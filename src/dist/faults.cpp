@@ -292,10 +292,12 @@ WireFaultInjector::Decision WireFaultInjector::on_frame() {
       case FaultKind::kTruncateFrame:
         if (frame == action.after_frames) decision = Decision::kTruncate;
         break;
-      case FaultKind::kCorruptCacheWrite:
       case FaultKind::kDropConnection:
+        if (frame == action.after_frames) decision = Decision::kClose;
+        break;
+      case FaultKind::kCorruptCacheWrite:
       case FaultKind::kDelayAcceptMs:
-        break;  // handled by the cache hook / PlanServer, not the wire
+        break;  // the cache hook / connection start, not a frame
     }
   }
   return decision;

@@ -5,9 +5,12 @@
 // — parsed from a compact spec string so one flag (`--fault-plan`,
 // internal) can reproduce any chaos scenario bit-for-bit.  The
 // coordinator filters the plan per (worker slot, respawn generation)
-// and forwards each worker its share on the command line; the worker
-// threads a WireFaultInjector through every outbound frame and installs
-// a cache-write corruption hook when asked.  Replaces the old ad-hoc
+// and forwards each worker its share on the command line.  Every
+// planning server connection — the `--worker` fd as much as an accepted
+// TCP client — gates its outbound frames through a WireFaultInjector,
+// and the server installs a cache-write corruption hook when asked.
+// Worker actions reach the `--worker` fd; serve actions reach accepted
+// TCP connections (FaultPlan::for_connection).  Replaces the old ad-hoc
 // `kill_worker_after_assign` test hook: every failure path the
 // chaos-hardening layer handles is drivable from here, in-process and
 // in CI alike.
@@ -42,7 +45,7 @@
 // `gens=K` scopes the fault to the first K accepted connections
 // (`gens=all` keeps faulting every connection); `after-frames` is
 // per-connection.  FaultPlan::for_worker never forwards serve actions —
-// they are consumed by the PlanServer, not by workers.
+// they apply to the server's accepted TCP connections, not to workers.
 //
 // Examples:
 //   worker=1:crash:after-frames=1        crash before the first RESULT
@@ -62,7 +65,7 @@ namespace latticesched::dist {
 
 enum class FaultKind {
   kCrash,          ///< _Exit(137) instead of sending the frame
-  kHangMs,         ///< sleep `ms` holding the write lock, then send
+  kHangMs,         ///< sleep `ms` holding the send lock, then send
   kDropFrame,      ///< pretend the send succeeded, write nothing
   kTruncateFrame,  ///< write a partial frame, then wedge
   kDelayIoMs,      ///< sleep `ms` before this and every later frame
@@ -107,8 +110,8 @@ struct FaultPlan {
   /// `generation` of worker slot `slot`: wire actions matching the slot
   /// and generation, plus matching cache actions.  Generation filtering
   /// happens HERE, coordinator-side — the worker applies everything it
-  /// is handed.  Serve-target actions are never forwarded (the
-  /// PlanServer consumes them; a worker has no connections to drop).
+  /// is handed.  Serve-target actions are never forwarded (they script
+  /// accepted TCP connections, not the coordinator's socketpair).
   FaultPlan for_worker(std::size_t slot, std::uint64_t generation) const;
 
   /// The serve-target sub-plan for accepted connection number
@@ -118,19 +121,22 @@ struct FaultPlan {
   FaultPlan for_connection(std::uint64_t connection) const;
 };
 
-/// The worker's per-frame fault gate.  Consulted (under the channel's
-/// write lock) before every counted outbound frame; may sleep (hang /
-/// delay) or terminate the process (crash), and tells the caller what
-/// to do with the frame otherwise.
+/// A connection's per-frame fault gate.  Consulted (under the
+/// connection's send lock) before every counted outbound frame; may
+/// sleep (hang / delay) or terminate the process (crash), and tells the
+/// caller what to do with the frame otherwise.
 class WireFaultInjector {
  public:
   explicit WireFaultInjector(FaultPlan plan) : plan_(std::move(plan)) {}
 
-  enum class Decision { kSend, kDrop, kTruncate };
+  /// kClose: drop-connection fired — hard-close instead of sending.
+  enum class Decision { kSend, kDrop, kTruncate, kClose };
 
   /// Advances the frame counter and applies any action scheduled for
   /// this frame.  Does not return on kCrash.
   Decision on_frame();
+
+  const FaultPlan& plan() const { return plan_; }
 
  private:
   FaultPlan plan_;

@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -19,59 +18,6 @@ ssize_t write_some(int fd, const char* data, std::size_t len) {
   ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
   if (n < 0 && errno == ENOTSOCK) n = ::write(fd, data, len);
   return n;
-}
-
-/// Blocks (without deadline) until `fd` is ready for `events`; only
-/// reached from the EAGAIN path below, i.e. on O_NONBLOCK fds.
-bool wait_ready(int fd, short events) {
-  for (;;) {
-    pollfd p{fd, events, 0};
-    const int rc = ::poll(&p, 1, -1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    return true;
-  }
-}
-
-bool write_full(int fd, const char* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = write_some(fd, data, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      // O_NONBLOCK socket with a full send buffer (the deadline forms
-      // set every serve/dist fd nonblocking, and the blocking forms
-      // share those fds): poll until writable, then resume the partial
-      // write — bailing here would tear the frame mid-stream.
-      if ((errno == EAGAIN || errno == EWOULDBLOCK) &&
-          wait_ready(fd, POLLOUT)) {
-        continue;
-      }
-      return false;
-    }
-    data += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-bool read_full(int fd, char* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::read(fd, data, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if ((errno == EAGAIN || errno == EWOULDBLOCK) &&
-          wait_ready(fd, POLLIN)) {
-        continue;
-      }
-      return false;
-    }
-    if (n == 0) return false;  // EOF mid-frame (or before one)
-    data += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 using Clock = std::chrono::steady_clock;
@@ -148,11 +94,20 @@ WireIoStatus write_full_deadline(int fd, const char* data, std::size_t len,
   return WireIoStatus::kOk;
 }
 
-std::string frame_payload(const WireMessage& message) {
-  std::string payload = message.verb;
-  payload += '\n';
-  payload += message.body;
-  return payload;
+/// The frame's bytes: the 4-byte little-endian payload length, then
+/// "verb\nbody".  Empty when the payload exceeds kMaxFrameBytes.
+std::string encode_frame(const WireMessage& message) {
+  const std::size_t len = message.verb.size() + 1 + message.body.size();
+  if (len > kMaxFrameBytes) return {};
+  std::string frame;
+  frame.reserve(4 + len);
+  for (int shift = 0; shift < 32; shift += 8) {
+    frame += static_cast<char>((len >> shift) & 0xff);
+  }
+  frame += message.verb;
+  frame += '\n';
+  frame += message.body;
+  return frame;
 }
 
 std::uint32_t decode_prefix(const char prefix[4]) {
@@ -186,28 +141,6 @@ bool set_nonblocking(int fd) {
   return ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-bool write_frame(int fd, const WireMessage& message) {
-  const std::string payload = frame_payload(message);
-  if (payload.size() > kMaxFrameBytes) return false;
-  const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  char prefix[4] = {static_cast<char>(len & 0xff),
-                    static_cast<char>((len >> 8) & 0xff),
-                    static_cast<char>((len >> 16) & 0xff),
-                    static_cast<char>((len >> 24) & 0xff)};
-  return write_full(fd, prefix, sizeof prefix) &&
-         write_full(fd, payload.data(), payload.size());
-}
-
-bool read_frame(int fd, WireMessage* out) {
-  char prefix[4];
-  if (!read_full(fd, prefix, sizeof prefix)) return false;
-  const std::uint32_t len = decode_prefix(prefix);
-  if (len == 0 || len > kMaxFrameBytes) return false;
-  std::string payload(len, '\0');
-  if (!read_full(fd, payload.data(), payload.size())) return false;
-  return payload_to_message(std::move(payload), out);
-}
-
 WireIoStatus read_frame_deadline(int fd, WireMessage* out, int timeout_ms) {
   const Deadline deadline(timeout_ms);
   char prefix[4];
@@ -225,17 +158,16 @@ WireIoStatus read_frame_deadline(int fd, WireMessage* out, int timeout_ms) {
 WireIoStatus write_frame_deadline(int fd, const WireMessage& message,
                                   int timeout_ms) {
   const Deadline deadline(timeout_ms);
-  const std::string payload = frame_payload(message);
-  if (payload.size() > kMaxFrameBytes) return WireIoStatus::kClosed;
-  const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  char prefix[4] = {static_cast<char>(len & 0xff),
-                    static_cast<char>((len >> 8) & 0xff),
-                    static_cast<char>((len >> 16) & 0xff),
-                    static_cast<char>((len >> 24) & 0xff)};
-  const WireIoStatus st =
-      write_full_deadline(fd, prefix, sizeof prefix, deadline);
-  if (st != WireIoStatus::kOk) return st;
-  return write_full_deadline(fd, payload.data(), payload.size(), deadline);
+  const std::string frame = encode_frame(message);
+  if (frame.empty()) return WireIoStatus::kClosed;
+  return write_full_deadline(fd, frame.data(), frame.size(), deadline);
+}
+
+void write_torn_frame(int fd, const WireMessage& message) {
+  const std::string frame = encode_frame(message);
+  if (frame.empty()) return;
+  (void)write_full_deadline(fd, frame.data(), 4 + (frame.size() - 4) / 2,
+                            Deadline(-1));
 }
 
 void split_body(const std::string& body, std::string* first_line,

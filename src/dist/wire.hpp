@@ -9,8 +9,10 @@
 // bodies are a shard id line plus batch_items_to_json, RESULT bodies a
 // shard id line plus batch_report_to_json.  PING/PONG are empty-bodied
 // liveness probes: the coordinator PINGs a worker that missed a frame
-// deadline, and a worker that is busy planning but healthy answers PONG
-// from its reader thread — only a truly wedged process stays silent.
+// deadline.  A worker is a planning server connection on a socketpair
+// (serve::PlanServer::serve_fd), and every such connection answers PONG
+// from its reader thread even while it plans — only a truly wedged
+// process stays silent.
 // The session verbs carry a session-id first line (see
 // src/serve/server.hpp for the frame schemas).  Text-over-frames keeps
 // the protocol debuggable (dump any frame and read it) while the length
@@ -69,37 +71,38 @@ struct WireMessage {
   std::string body;  ///< verb-specific payload (may be empty)
 };
 
-/// Writes one frame; returns false on any write error (notably EPIPE
-/// from a dead peer — writes never raise SIGPIPE).  Works on blocking
-/// AND O_NONBLOCK fds: a nonblocking socket whose buffer fills polls
-/// for writability and continues, so a partial send never corrupts the
-/// frame stream.
-bool write_frame(int fd, const WireMessage& message);
-
-/// Reads one full frame; returns false on EOF, a read error, or a
-/// malformed frame.  Restarts interrupted reads and polls through
-/// EAGAIN on O_NONBLOCK fds (no deadline — use read_frame_deadline for
-/// bounded waits).
-bool read_frame(int fd, WireMessage* out);
-
-/// Outcome of the deadline-bounded frame I/O below.  kClosed covers
-/// EOF, EPIPE and malformed frames alike — every case where the peer
-/// is unusable rather than merely slow.
+/// Outcome of the frame I/O below.  kClosed covers EOF, EPIPE and
+/// malformed frames alike — every case where the peer is unusable
+/// rather than merely slow.
 enum class WireIoStatus { kOk, kTimeout, kClosed };
 
-/// Puts `fd` into O_NONBLOCK (required by the deadline forms below);
-/// returns false when fcntl fails.
+/// Puts `fd` into O_NONBLOCK (required for a deadline to bound a read
+/// or write); returns false when fcntl fails.
 bool set_nonblocking(int fd);
 
-/// Deadline-bounded frame I/O for the coordinator side; `fd` must be
-/// nonblocking.  `timeout_ms` < 0 waits forever (the blocking
-/// behavior); the budget covers the WHOLE frame, so a peer trickling
-/// bytes cannot stretch one frame past one deadline.  A kTimeout may
-/// leave the stream mid-frame — the protocol has no resync point, so
-/// the caller must treat the peer as lost, not retry the call.
+/// Frame I/O.  `timeout_ms` < 0 waits forever and works on blocking
+/// and O_NONBLOCK fds alike (a full send buffer or an empty receive
+/// buffer polls and resumes, so a partial transfer never tears the
+/// frame); a deadline needs a nonblocking fd.  The budget covers the
+/// WHOLE frame, so a peer trickling bytes cannot stretch one frame
+/// past one deadline.  A kTimeout may leave the stream mid-frame — the
+/// protocol has no resync point, so the caller must treat the peer as
+/// lost, not retry the call.  Writes never raise SIGPIPE.
 WireIoStatus read_frame_deadline(int fd, WireMessage* out, int timeout_ms);
 WireIoStatus write_frame_deadline(int fd, const WireMessage& message,
                                   int timeout_ms);
+
+/// The no-deadline forms: true when a whole frame moved.
+inline bool read_frame(int fd, WireMessage* out) {
+  return read_frame_deadline(fd, out, -1) == WireIoStatus::kOk;
+}
+inline bool write_frame(int fd, const WireMessage& message) {
+  return write_frame_deadline(fd, message, -1) == WireIoStatus::kOk;
+}
+
+/// The truncate-frame fault (dist/faults.hpp): an honest length prefix
+/// followed by only half the payload, written best-effort.
+void write_torn_frame(int fd, const WireMessage& message);
 
 /// Splits "<first line>\n<rest>" — the shape of ASSIGN/RESULT bodies.
 /// Missing newline leaves `rest` empty.

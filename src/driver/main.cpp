@@ -35,10 +35,11 @@
 // shards streamed over socketpairs, reports merged back into the same
 // BatchReport a serial run produces.  --cache-dir persists the tiling
 // cache on disk — shared by all workers and across invocations.
-// --worker is the internal worker-process entry point.
+// --worker is the internal worker-process entry point: it serves the
+// coordinator's socketpair with the planning server's connection loop.
 //
 // --serve runs the TCP planning server (src/serve): long-lived sessions
-// over the wire protocol (dist/wire.hpp, v8), many clients multiplexed
+// over the wire protocol (dist/wire.hpp, v9), many clients multiplexed
 // over one shared pool and TilingCache, stopped gracefully by
 // SIGTERM/SIGINT.  --listen is the same listener worn as a remote
 // worker (its ASSIGN verb serves coordinator-style batches).
@@ -66,7 +67,7 @@
 #include "dist/coordinator.hpp"
 #include "dist/faults.hpp"
 #include "dist/process.hpp"
-#include "dist/worker.hpp"
+#include "dist/wire.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "tune/knob_space.hpp"
@@ -359,13 +360,23 @@ int run(int argc, char** argv) {
   }
 
   if (cli.get_bool("worker")) {
-    // Distributed worker process: speak the wire protocol over
-    // --worker-fd until the coordinator shuts us down.
-    dist::WorkerOptions options;
-    options.cache_dir = cli.get_string("cache-dir");
-    options.fault_spec = cli.get_string("fault-plan");
-    return dist::run_worker(static_cast<int>(cli.get_int("worker-fd")),
-                            options);
+    // Distributed worker process: one planning server connection on the
+    // coordinator's socketpair (--worker-fd), served until SHUTDOWN or
+    // EOF.  A bad --cache-dir or --fault-plan is reported to the
+    // coordinator in an ERROR frame.
+    const int fd = static_cast<int>(cli.get_int("worker-fd"));
+    serve::ServerConfig config;
+    config.cache_dir = cli.get_string("cache-dir");
+    config.fault_spec = cli.get_string("fault-plan");
+    std::optional<serve::PlanServer> server;
+    try {
+      server.emplace(std::move(config));
+    } catch (const std::exception& e) {
+      (void)dist::write_frame(fd, {"ERROR", e.what()});
+      return 1;
+    }
+    server->serve_fd(fd);
+    return 0;
   }
 
   if (cli.get_bool("serve") || cli.get_bool("listen")) {

@@ -1,6 +1,9 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <deque>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -21,9 +24,9 @@ using dist::WireMessage;
 
 namespace {
 
-/// Read slice for connection loops: short enough that stop() is
-/// noticed promptly, long enough to stay off the scheduler's back.
-constexpr int kReadSliceMs = 200;
+/// How often the accept loop wakes to join finished connection threads
+/// (stop() wakes it at once).
+constexpr int kAcceptSliceMs = 200;
 
 /// The PlanSession::Stats fields the CLOSE "session" object carries
 /// (the region fields ride in the counters groups).
@@ -61,19 +64,18 @@ SessionWireStats session_stats_from_json(const std::string& json) {
   return stats;
 }
 
-/// One accepted connection: the channel, its slice of the serve fault
-/// plan, and the outbound frame counter the drop-connection trigger
-/// counts (PONGs excluded, like the worker's injector).
-struct PlanServer::Connection {
-  Connection(int fd, std::uint64_t id, dist::FaultPlan faults)
-      : channel(fd), id(id), faults(std::move(faults)) {}
+/// One connection: the channel, and the fault gate its counted frames
+/// pass.  The send lock serializes this connection's replies, its
+/// reader's PONGs and other connections' EVENT pushes.
+struct PlanServer::Connection
+    : std::enable_shared_from_this<PlanServer::Connection> {
+  Connection(int fd, dist::FaultPlan plan)
+      : channel(fd), faults(std::move(plan)) {}
 
   TcpChannel channel;
-  std::uint64_t id;
-  dist::FaultPlan faults;
   std::mutex send_mu;
-  std::uint64_t frames_out = 0;  ///< counted sends; under send_mu
-  bool dropped = false;          ///< drop-connection fired; under send_mu
+  dist::WireFaultInjector faults;  ///< under send_mu
+  bool dropped = false;            ///< drop-connection fired; under send_mu
 };
 
 /// Server-side session state.  Lives in the session map, NOT in any
@@ -130,8 +132,19 @@ PlanServer::~PlanServer() { stop(); }
 
 void PlanServer::start() {
   listener_ = std::make_unique<TcpListener>(config_.host, config_.port);
-  started_ = true;
   accept_thread_ = std::thread([this] { accept_loop(); });
+}
+
+void PlanServer::serve_fd(int fd) {
+  // Nonblocking, or the write deadline (io_timeout_ms) could never fire.
+  (void)dist::set_nonblocking(fd);
+  // The plan as given: the coordinator already filtered it for_worker.
+  auto conn = std::make_shared<Connection>(fd, fault_plan_);
+  {
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    conns_.push_back(conn);
+  }
+  handle_connection(std::move(conn));
 }
 
 std::uint16_t PlanServer::port() const {
@@ -140,20 +153,21 @@ std::uint16_t PlanServer::port() const {
 
 void PlanServer::stop() {
   stop_.store(true, std::memory_order_release);
-  if (!started_) return;
-  listener_->shutdown();
-  if (accept_thread_.joinable()) accept_thread_.join();
+  if (listener_ != nullptr) {
+    listener_->shutdown();
+    if (accept_thread_.joinable()) accept_thread_.join();
+  }
   std::vector<std::shared_ptr<Connection>> conns;
   std::vector<std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     conns = conns_;
     threads.swap(threads_);
+    for (std::thread& t : finished_) threads.push_back(std::move(t));
+    finished_.clear();
   }
   for (const auto& conn : conns) conn->channel.shutdown();
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
+  for (std::thread& t : threads) t.join();
 }
 
 PlanServer::Stats PlanServer::stats() const {
@@ -175,12 +189,18 @@ PlanServer::Stats PlanServer::stats() const {
 
 void PlanServer::accept_loop() {
   while (!stop_.load(std::memory_order_acquire)) {
-    const int fd = listener_->accept_connection(kReadSliceMs);
+    std::vector<std::thread> finished;
+    {
+      std::lock_guard<std::mutex> lock(conns_mu_);
+      finished.swap(finished_);
+    }
+    for (std::thread& t : finished) t.join();
+    const int fd = listener_->accept_connection(kAcceptSliceMs);
     if (fd < 0) continue;  // timeout or shutdown; the loop rechecks stop_
     const std::uint64_t cid =
         connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    auto conn = std::make_shared<Connection>(
-        fd, cid, fault_plan_.for_connection(cid));
+    auto conn =
+        std::make_shared<Connection>(fd, fault_plan_.for_connection(cid));
     std::lock_guard<std::mutex> lock(conns_mu_);
     conns_.push_back(conn);
     threads_.emplace_back([this, conn] { handle_connection(conn); });
@@ -188,19 +208,27 @@ void PlanServer::accept_loop() {
 }
 
 bool PlanServer::send(Connection& conn, const WireMessage& message) {
+  using Decision = dist::WireFaultInjector::Decision;
   std::lock_guard<std::mutex> lock(conn.send_mu);
   if (conn.dropped) return false;
-  const std::uint64_t frame = conn.frames_out++;
-  for (const FaultAction& action : conn.faults.actions) {
-    if (action.kind == FaultKind::kDropConnection &&
-        frame == action.after_frames) {
+  switch (conn.faults.on_frame()) {  // may sleep or _Exit under the lock
+    case Decision::kSend:
+      break;
+    case Decision::kDrop:
+      return true;  // pretend success; the frame vanishes
+    case Decision::kTruncate:
+      // Half a frame, then wedge: the peer's deadline read stalls
+      // mid-frame and the coordinator kills this process.
+      dist::write_torn_frame(conn.channel.fd(), message);
+      std::this_thread::sleep_for(std::chrono::hours(1));
+      return false;
+    case Decision::kClose:
       // Hard-close right before this frame goes out: the client sees a
       // torn connection, the session map does not.
       conn.dropped = true;
       conn.channel.shutdown();
       connections_dropped_.fetch_add(1, std::memory_order_relaxed);
       return false;
-    }
   }
   return conn.channel.write(message, config_.io_timeout_ms) ==
          WireIoStatus::kOk;
@@ -209,42 +237,81 @@ bool PlanServer::send(Connection& conn, const WireMessage& message) {
 void PlanServer::handle_connection(std::shared_ptr<Connection> conn) {
   // delay-accept faults stall servicing of this connection (the TCP
   // accept already happened; the client waits on the HELLO).
-  for (const FaultAction& action : conn->faults.actions) {
+  for (const FaultAction& action : conn->faults.plan().actions) {
     if (action.kind == FaultKind::kDelayAcceptMs) {
       std::this_thread::sleep_for(std::chrono::milliseconds(action.ms));
     }
   }
+  // The reader answers PING at once, even while this thread plans, and
+  // queues every other frame for this thread to answer in order.  It
+  // reads without a deadline: the shutdown below, or stop()'s, wakes it.
+  std::mutex inbox_mu;
+  std::condition_variable inbox_cv;
+  std::deque<WireMessage> inbox;
+  bool reader_done = false;
+  std::thread reader;
   if (send(*conn,
            {"HELLO",
             "{\"protocol\": " + std::to_string(dist::kProtocolVersion) +
                 ", \"role\": \"server\"}"})) {
-    for (;;) {
+    reader = std::thread([&] {
       WireMessage message;
-      const WireIoStatus st = conn->channel.read(&message, kReadSliceMs);
-      if (st == WireIoStatus::kTimeout) {
-        if (stop_.load(std::memory_order_acquire)) break;
-        continue;
+      while (conn->channel.read(&message, -1) == WireIoStatus::kOk) {
+        if (message.verb == "PING") {
+          // Uncounted (probe timing must not shift the deterministic
+          // fault triggers), but under the send lock: a hang fault
+          // sleeping there silences the PONG too.
+          std::lock_guard<std::mutex> lock(conn->send_mu);
+          if (conn->dropped ||
+              conn->channel.write({"PONG", ""}, config_.io_timeout_ms) !=
+                  WireIoStatus::kOk) {
+            break;
+          }
+          continue;
+        }
+        {
+          std::lock_guard<std::mutex> lock(inbox_mu);
+          inbox.push_back(std::move(message));
+        }
+        inbox_cv.notify_one();
       }
-      if (st == WireIoStatus::kClosed) break;  // EOF or lost framing
+      {
+        std::lock_guard<std::mutex> lock(inbox_mu);
+        reader_done = true;  // EOF, lost framing or a shutdown
+      }
+      inbox_cv.notify_one();
+    });
+    for (;;) {
+      std::unique_lock<std::mutex> lock(inbox_mu);
+      inbox_cv.wait(lock, [&] { return reader_done || !inbox.empty(); });
+      if (inbox.empty() || stop_.load(std::memory_order_acquire)) break;
+      const WireMessage message = std::move(inbox.front());
+      inbox.pop_front();
+      lock.unlock();
       if (!handle_message(*conn, message)) break;
     }
   }
-  // Half-close so the peer sees EOF immediately; the fd itself lives
-  // until the Connection is destroyed (concurrent EVENT pushers may
-  // still hold the pointer — their sends fail cleanly).
+  // Half-close so the peer sees EOF immediately and the reader wakes.
+  // The fd closes with the last reference to the Connection (an EVENT
+  // pusher may still hold one; its sends fail cleanly).
   conn->channel.shutdown();
+  if (reader.joinable()) reader.join();
+  std::lock_guard<std::mutex> lock(conns_mu_);
+  std::erase(conns_, conn);
+  // An accepted connection's thread hands its own handle to the accept
+  // loop, which joins it.
+  const auto self = std::find_if(
+      threads_.begin(), threads_.end(), [](const std::thread& t) {
+        return t.get_id() == std::this_thread::get_id();
+      });
+  if (self != threads_.end()) {
+    finished_.push_back(std::move(*self));
+    threads_.erase(self);
+  }
 }
 
 bool PlanServer::handle_message(Connection& conn,
                                 const WireMessage& message) {
-  if (message.verb == "PING") {
-    // Uncounted (like the worker's PONG): probe timing must not shift
-    // the deterministic drop-connection triggers.
-    std::lock_guard<std::mutex> lock(conn.send_mu);
-    if (conn.dropped) return false;
-    return conn.channel.write({"PONG", ""}, config_.io_timeout_ms) ==
-           WireIoStatus::kOk;
-  }
   if (message.verb == "SHUTDOWN") return false;  // sessions survive
   try {
     if (message.verb == "OPEN") {
@@ -450,23 +517,8 @@ void PlanServer::handle_subscribe(Connection& conn,
   dist::split_body(body, &first, &rest);
   std::uint64_t id = 0;
   const std::shared_ptr<WireSession> ws = find_session(first, &id);
-  std::shared_ptr<Connection> self;
-  {
-    // The subscriber list holds weak refs to connections; find our own
-    // shared_ptr in the registry.
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (const auto& candidate : conns_) {
-      if (candidate.get() == &conn) {
-        self = candidate;
-        break;
-      }
-    }
-  }
-  if (self == nullptr) {
-    throw std::runtime_error("subscribe: connection not registered");
-  }
   std::lock_guard<std::mutex> lock(ws->mu);
-  ws->subscribers.push_back(self);
+  ws->subscribers.push_back(conn.weak_from_this());
   std::ostringstream os;
   os << id << "\n{\"session\": " << id << ", \"subscribed\": true}";
   (void)send(conn, {"OK", os.str()});

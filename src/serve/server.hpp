@@ -49,11 +49,13 @@
 //                 counters' groups, as in the batch-report footer, then
 //                 "session": {"replans": r, "deltas": d, ...}
 //   ASSIGN     "<shard>\n" + batch_items_to_json (any item count) —
-//              the distributed worker verb, served through the same
-//              listener so `--listen` makes this process a remote
-//              worker a ShardCoordinator can drive over TCP.
+//              how every fleet worker is driven: `latticesched --worker`
+//              serves its coordinator socketpair through serve_fd, and
+//              `--listen` makes this process a remote worker over TCP.
 //              -> RESULT "<shard>\n" + batch_report_to_json
-//   PING       -> PONG (liveness; not counted by the fault injector)
+//   PING       -> PONG, sent at once by the connection's reader thread,
+//              even while a request plans (liveness; not counted by the
+//              fault injector)
 //   SHUTDOWN   closes this connection (sessions survive)
 //
 // Any other verb answers ERROR "<message>" and LEAVES THE CONNECTION
@@ -63,13 +65,14 @@
 // point.  Per-request failures (unknown scenario, bad delta, unknown
 // session id) answer ERROR with the exception text.
 //
-// Faults: the PR-6 fault plan grammar gains a `serve` target
-// (dist/faults.hpp) — `drop-connection` hard-closes a connection right
-// before a chosen outbound frame and `delay-accept-ms` stalls
-// servicing of fresh accepts; both are consumed here, scoped per
-// accepted connection, and never forwarded to workers.  Dropped
-// connections keep their sessions: zero sessions are lost server-side
-// (the acceptance bar of this subsystem).
+// Faults (dist/faults.hpp): every connection's counted frames pass a
+// dist::WireFaultInjector.  An accepted TCP connection gets the serve
+// actions scoped to it (FaultPlan::for_connection) — `drop-connection`
+// hard-closes it right before a chosen outbound frame and
+// `delay-accept-ms` stalls its HELLO; the `--worker` fd gets the worker
+// actions the coordinator already filtered for it (crash, hang, drop,
+// truncate, delay).  Dropped connections keep their sessions: zero
+// sessions are lost server-side (the acceptance bar of this subsystem).
 #pragma once
 
 #include <atomic>
@@ -112,9 +115,9 @@ struct ServerConfig {
   std::string host = "127.0.0.1";  ///< bind address ("0.0.0.0" = any)
   std::uint16_t port = 0;          ///< 0 = ephemeral; see PlanServer::port
   std::string cache_dir;           ///< persistent TilingCache directory
-  std::string fault_spec;          ///< dist::FaultPlan grammar (serve kinds)
-  /// Per-frame deadline on connection writes; reads poll in short
-  /// slices so stop() interrupts promptly.
+  std::string fault_spec;          ///< dist::FaultPlan grammar
+  /// Per-frame deadline on connection writes.  Reads wait without one;
+  /// stop() wakes them by shutting each connection down.
   int io_timeout_ms = 30000;
 };
 
@@ -133,15 +136,21 @@ class PlanServer {
   /// std::runtime_error when the port cannot be bound.
   void start();
 
+  /// Serves one already-connected fd (the `--worker` socketpair) on the
+  /// calling thread with the same loop as an accepted connection, until
+  /// SHUTDOWN, EOF or stop().  Takes ownership: the fd is closed on
+  /// return.  The whole fault plan applies to it.  Needs no start().
+  void serve_fd(int fd);
+
   /// The bound port (valid after start(); the ephemeral pick when
   /// ServerConfig::port was 0).
   std::uint16_t port() const;
 
   /// Graceful shutdown: stops accepting, half-closes every live
-  /// connection, joins every handler thread.  Open sessions are
-  /// preserved until destruction and reported via stats() — a clean
-  /// client fleet closes its sessions first, so open_sessions == 0 at
-  /// a clean SIGTERM.  Idempotent.
+  /// connection (serve_fd's too), joins every handler thread.  Open
+  /// sessions are preserved until destruction and reported via stats()
+  /// — a clean client fleet closes its sessions first, so
+  /// open_sessions == 0 at a clean SIGTERM.  Idempotent.
   void stop();
 
   struct Stats {
@@ -185,11 +194,14 @@ class PlanServer {
   std::unique_ptr<TcpListener> listener_;
   std::thread accept_thread_;
   std::atomic<bool> stop_{false};
-  bool started_ = false;
 
+  /// Live connections and their threads.  A finished connection leaves
+  /// conns_ and moves its thread to finished_, which the accept loop
+  /// (or stop()) joins.
   mutable std::mutex conns_mu_;
   std::vector<std::shared_ptr<Connection>> conns_;
   std::vector<std::thread> threads_;
+  std::vector<std::thread> finished_;
 
   mutable std::mutex sessions_mu_;
   std::map<std::uint64_t, std::shared_ptr<WireSession>> sessions_;

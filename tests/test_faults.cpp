@@ -20,7 +20,7 @@
 #include "dist/coordinator.hpp"
 #include "dist/faults.hpp"
 #include "dist/wire.hpp"
-#include "dist/worker.hpp"
+#include "serve/server.hpp"
 #include "util/parallel.hpp"
 
 namespace latticesched {
@@ -167,8 +167,9 @@ TEST(WireDeadline, TruncatedFrameTimesOutMidFrame) {
 TEST(WorkerLiveness, IdleWorkerAnswersPingWithPong) {
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  int exit_code = -1;
-  std::thread worker([&] { exit_code = dist::run_worker(sv[1], {}); });
+  // The worker loop is PlanServer::serve_fd; it owns and closes sv[1].
+  serve::PlanServer server{serve::ServerConfig{}};
+  std::thread worker([&] { server.serve_fd(sv[1]); });
   dist::WireMessage got;
   ASSERT_TRUE(dist::read_frame(sv[0], &got));
   EXPECT_EQ(got.verb, "HELLO");
@@ -177,10 +178,8 @@ TEST(WorkerLiveness, IdleWorkerAnswersPingWithPong) {
   EXPECT_EQ(got.verb, "PONG");
   EXPECT_EQ(got.body, "");
   ASSERT_TRUE(dist::write_frame(sv[0], {"SHUTDOWN", ""}));
-  worker.join();
-  EXPECT_EQ(exit_code, 0);
+  worker.join();  // SHUTDOWN ends the loop
   ::close(sv[0]);
-  ::close(sv[1]);
 }
 
 // ---- coordinator under injected faults ------------------------------------

@@ -445,6 +445,13 @@ TEST(MutationScript, RejectsMalformedInput) {
                std::invalid_argument);
   EXPECT_THROW(parse_mutation_script("step\ndim 3\n"),
                std::invalid_argument);
+  // Strict numbers: no sign on a step, no wrap past uint32_t channels.
+  for (const char* script :
+       {"step -5\n", "step 1\nstep -1\n", "step\nchannels 4294967296\n",
+        "step\nchannels 4294967297\n"}) {
+    EXPECT_THROW(parse_mutation_script(script), std::invalid_argument)
+        << script;
+  }
   // Line numbers surface in the error.
   try {
     parse_mutation_script("step\nadd 1 1\nbogus\n");

@@ -6,8 +6,12 @@
 // server-side.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <filesystem>
 #include <string>
+#include <sys/socket.h>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 #include "core/plan_service.hpp"
@@ -411,6 +415,88 @@ TEST(PlanServe, AssignVerbServesCoordinatorStyleBatches) {
   PlanService service;
   EXPECT_EQ(normalize_volatile(batch_report_to_json(remote)),
             normalize_volatile(batch_report_to_json(service.run(items))));
+}
+
+/// A raw TCP connection to `server` with its HELLO already read.
+int connect_raw(const PlanServer& server) {
+  const int fd = serve::tcp_connect("127.0.0.1", server.port(), 2000);
+  dist::WireMessage hello;
+  EXPECT_EQ(dist::read_frame_deadline(fd, &hello, 5000),
+            dist::WireIoStatus::kOk);
+  EXPECT_EQ(hello.verb, "HELLO");
+  return fd;
+}
+
+TEST(PlanServe, FrameSlowerThanAReadSliceIsAnswered) {
+  // A PING whose bytes straddle a 300 ms pause: the reader waits without
+  // a deadline, so a slow peer delays a frame but never tears it.
+  PlanServer server{ServerConfig{}};
+  server.start();
+  const int fd = connect_raw(server);
+  const char ping[] = {5, 0, 0, 0, 'P', 'I', 'N', 'G', '\n'};
+  ASSERT_EQ(::send(fd, ping, 6, MSG_NOSIGNAL), 6);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  ASSERT_EQ(::send(fd, ping + 6, 3, MSG_NOSIGNAL), 3);
+  dist::WireMessage reply;
+  ASSERT_EQ(dist::read_frame_deadline(fd, &reply, 2000),
+            dist::WireIoStatus::kOk);
+  EXPECT_EQ(reply.verb, "PONG");
+  ::close(fd);
+  server.stop();
+}
+
+TEST(PlanServe, PingIsAnsweredWhileAnAssignPlans) {
+  // The liveness contract a fleet worker's coordinator relies on: the
+  // reader thread answers PING at once while the connection plans.
+  PlanServer server{ServerConfig{}};
+  server.start();
+  const int fd = connect_raw(server);
+  BatchItem item;
+  item.query.scenario = "grid";
+  item.query.params.n = 12;
+  item.backends = {"annealing"};
+  item.sa.max_iters = 3'000'000;  // plans for a few hundred ms
+  ASSERT_EQ(dist::write_frame_deadline(
+                fd, {"ASSIGN", "5\n" + batch_items_to_json({item})}, 2000),
+            dist::WireIoStatus::kOk);
+  ASSERT_EQ(dist::write_frame_deadline(fd, {"PING", ""}, 2000),
+            dist::WireIoStatus::kOk);
+  dist::WireMessage reply;
+  ASSERT_EQ(dist::read_frame_deadline(fd, &reply, 60000),
+            dist::WireIoStatus::kOk);
+  EXPECT_EQ(reply.verb, "PONG");
+  ASSERT_EQ(dist::read_frame_deadline(fd, &reply, 60000),
+            dist::WireIoStatus::kOk);
+  EXPECT_EQ(reply.verb, "RESULT");
+  ::close(fd);
+  server.stop();
+}
+
+std::size_t open_fd_count() {
+  std::size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+TEST(PlanServe, FinishedConnectionsReleaseTheirFds) {
+  // A connection's fd closes when its loop ends, not at stop(): a
+  // long-lived server must not run out of descriptors.
+  PlanServer server{ServerConfig{}};
+  server.start();
+  const std::size_t baseline = open_fd_count();
+  for (int i = 0; i < 50; ++i) ::close(connect_raw(server));
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (open_fd_count() > baseline + 2 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_LE(open_fd_count(), baseline + 2);
+  server.stop();
 }
 
 TEST(PlanServe, StopIsGracefulAndIdempotent) {

@@ -16,11 +16,11 @@
 #include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "core/report.hpp"
 #include "dist/wire.hpp"
-#include "dist/worker.hpp"
 #include "serve/server.hpp"
 #include "serve/tcp.hpp"
 #include "util/rng.hpp"
@@ -142,19 +142,20 @@ TEST(WireFuzz, RandomGarbageStreamsNeverCrashTheReader) {
   }
 }
 
-/// Drives the REAL worker loop in-process over a socketpair and
-/// returns its exit code (the worker thread owns fd `b`).
+/// Drives the REAL worker loop (PlanServer::serve_fd, as
+/// `latticesched --worker` runs it) in-process over a socketpair and
+/// returns the exit code the driver reports once serve_fd returns.
+/// serve_fd owns fd `b` and closes it on return, so the reader below
+/// sees EOF after draining the worker's replies.
 int run_worker_with(const std::vector<std::string>& raw_frames,
                     std::vector<WireMessage>* responses) {
   Socketpair pair;
   if (pair.a < 0) return -1;
+  serve::PlanServer server{serve::ServerConfig{}};
   int exit_code = -1;
-  // The thread closes its own fd when the loop exits so the reader
-  // below sees EOF after draining the worker's replies.
-  std::thread worker([&] {
-    exit_code = dist::run_worker(pair.b, {});
-    ::close(pair.b);
-    pair.b = -1;
+  std::thread worker([&server, &exit_code, fd = std::exchange(pair.b, -1)] {
+    server.serve_fd(fd);
+    exit_code = 0;
   });
   WireMessage hello;
   EXPECT_TRUE(dist::read_frame(pair.a, &hello));
@@ -174,6 +175,9 @@ int run_worker_with(const std::vector<std::string>& raw_frames,
       break;
     }
   }
+  // A worker answers an unknown verb or a bad ASSIGN with ERROR and
+  // keeps reading; EOF on its input is what ends the loop.
+  ::shutdown(pair.a, SHUT_WR);
   WireMessage reply;
   while (dist::read_frame(pair.a, &reply)) {
     responses->push_back(reply);
@@ -186,7 +190,7 @@ int run_worker_with(const std::vector<std::string>& raw_frames,
 TEST(WireFuzz, WorkerAnswersUnknownVerbWithErrorAndExits) {
   std::vector<WireMessage> responses;
   const int code = run_worker_with({"FROBNICATE\nstuff"}, &responses);
-  EXPECT_EQ(code, 1);
+  EXPECT_EQ(code, 0);
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_EQ(responses[0].verb, "ERROR");
   EXPECT_NE(responses[0].body.find("FROBNICATE"), std::string::npos);
@@ -194,13 +198,14 @@ TEST(WireFuzz, WorkerAnswersUnknownVerbWithErrorAndExits) {
 
 TEST(WireFuzz, WorkerAnswersGarbageAssignBodyWithErrorNotCrash) {
   // A scenario line with unparseable numbers: parse_batch_items_json
-  // throws, the worker reports ERROR and exits nonzero.
+  // throws and the worker reports ERROR (the coordinator treats any
+  // ERROR as fatal and reaps its fleet).
   const std::string garbage_items =
       "[\n  {\"scenario\": \"grid\", \"n\": twelve}\n]\n";
   std::vector<WireMessage> responses;
   const int code =
       run_worker_with({"ASSIGN\n0\n" + garbage_items}, &responses);
-  EXPECT_EQ(code, 1);
+  EXPECT_EQ(code, 0);
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_EQ(responses[0].verb, "ERROR");
 }
