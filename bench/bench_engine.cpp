@@ -301,7 +301,7 @@ void report() {
                          t_ref / t_dense, 0.0});
   }
 
-  // Conflict-graph build: CSR inversion on the grid vs hash buckets.
+  // Conflict-graph build: the row streamer vs the seed's hash buckets.
   {
     const Deployment d = make_graph_deployment();
     std::size_t edges_dense = 0, edges_seed = 0;
@@ -350,28 +350,17 @@ void report() {
                          t_serial / t_parallel, threads});
   }
 
-  // Conflict-graph build at scale, serial vs the parallel per-sensor path.
+  // Conflict-graph build at scale (the builder is serial).
   {
     const Deployment d =
         Deployment::grid(Box::centered(2, 40), shapes::chebyshev_ball(2, 2));
-    set_parallel_threads(1);
-    std::size_t edges_serial = 0;
-    const double t_serial = time_best_of(
-        3, [&] { edges_serial = build_conflict_graph(d).edge_count(); });
-    set_parallel_threads(0);
-    const double threads = static_cast<double>(parallel_threads());
-    std::size_t edges_parallel = 0;
-    const double t_parallel = time_best_of(
-        3, [&] { edges_parallel = build_conflict_graph(d).edge_count(); });
-    std::printf(
-        "conflict graph (%zu sensors, %zu/%zu edges): serial %.1fms,"
-        " %.0f threads %.1fms -> %.2fx\n",
-        d.size(), edges_serial, edges_parallel, t_serial * 1e3, threads,
-        t_parallel * 1e3, t_serial / t_parallel);
+    std::size_t edges = 0;
+    const double t_serial =
+        time_best_of(3, [&] { edges = build_conflict_graph(d).edge_count(); });
+    std::printf("conflict graph (%zu sensors, %zu edges): serial %.1fms\n",
+                d.size(), edges, t_serial * 1e3);
     records().push_back(
         {"conflict_graph_build_serial", t_serial * 1e9, 0.0, 0.0, 1.0});
-    records().push_back({"conflict_graph_build_parallel", t_parallel * 1e9,
-                         0.0, t_serial / t_parallel, threads});
   }
 
   bench::section("Single-torus root fan-out vs serial");

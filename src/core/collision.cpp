@@ -51,8 +51,22 @@ CollisionReport check_collision_free(const Deployment& d,
   validate(d, slots);
   const auto grid = d.coverage_grid();
   if (!grid.has_value()) return check_collision_free_reference(d, slots);
+  // The grid holds every covered cell, so sensor i covers the cells
+  // id_of(pos_i) + disp over its prototile's displacement table (in
+  // canonical element order, the reference's visit order).
+  std::vector<std::vector<std::int64_t>> disp(d.prototiles().size());
+  for (std::size_t t = 0; t < disp.size(); ++t) {
+    for (const Point& n : d.prototiles()[t].points()) {
+      disp[t].push_back(grid->displacement(n));
+    }
+  }
+  // Each sensor's own cell, computed in id order: the slot-major pass
+  // below would otherwise stride through the positions.
+  std::vector<std::uint32_t> cell_of(d.size());
+  for (std::uint32_t i = 0; i < d.size(); ++i) {
+    cell_of[i] = grid->id_of(d.position(i));
+  }
   CollisionReport report;
-  const CsrU32 cov = coverage_ids(d, *grid);
   const CsrU32 by_slot = sensors_by_slot(d, slots);
   // stamp[id] == s + 1 marks grid cell `id` as covered in slot s by
   // owner[id]; stamps from earlier slots are simply stale, so the two
@@ -62,7 +76,8 @@ CollisionReport check_collision_free(const Deployment& d,
   for (std::uint32_t s = 0; s < slots.period; ++s) {
     const std::uint32_t mark = s + 1;
     for (std::uint32_t i : by_slot.row(s)) {
-      for (std::uint32_t id : cov.row(i)) {
+      for (const std::int64_t step : disp[d.type_of(i)]) {
+        const auto id = static_cast<std::uint32_t>(cell_of[i] + step);
         if (stamp[id] == mark) {
           ++report.pairs_checked;
           if (report.collision_free) {

@@ -9,10 +9,12 @@
 // validated against.
 //
 // Engine note: the checker runs on the deployment's dense coverage grid —
-// coverage lists become flat id arrays (CSR) and the per-slot "covered
-// twice?" test is a stamped array write, no hashing.  The seed's hash-map
-// implementation survives as check_collision_free_reference; it is also
-// the automatic fallback when the deployment hull defeats the grid.
+// each prototile becomes one table of linear displacements, a sensor
+// covers its own grid cell plus each displacement, and the per-slot
+// "covered twice?" test is a stamped array write, no hashing.  The
+// seed's hash-map implementation survives as
+// check_collision_free_reference; it is also the automatic fallback when
+// the deployment hull defeats the grid.
 // Both produce identical reports (same witness, same pair counts).
 #pragma once
 

@@ -1,5 +1,6 @@
 #include "core/multichannel.hpp"
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -66,35 +67,28 @@ CollisionReport check_collision_free_multichannel(
     throw std::invalid_argument(
         "check_collision_free_multichannel: size mismatch");
   }
-  CollisionReport report;
-  // Bucket by (slot, channel); coverage counting within each bucket.
-  std::vector<std::vector<std::uint32_t>> buckets(
-      static_cast<std::size_t>(slots.period) * slots.channels);
-  for (std::uint32_t i = 0; i < d.size(); ++i) {
-    const SlotChannel& a = slots.assignment[i];
+  if (d.size() == 0) return CollisionReport{};
+  const std::uint64_t buckets =
+      std::uint64_t{slots.period} * slots.channels;
+  if (buckets > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument(
+        "check_collision_free_multichannel: period x channels overflows");
+  }
+  // Bucket (slot, channel) flattens to slot * channels + channel, so the
+  // single-channel checker visits buckets, sensors and coverage points in
+  // bucket order: the witness and pair count carry over as they are.
+  SensorSlots flat;
+  flat.period = static_cast<std::uint32_t>(buckets);
+  flat.slot.reserve(d.size());
+  for (const SlotChannel& a : slots.assignment) {
     if (a.slot >= slots.period || a.channel >= slots.channels) {
       throw std::invalid_argument(
           "check_collision_free_multichannel: assignment out of range");
     }
-    buckets[a.slot * slots.channels + a.channel].push_back(i);
+    flat.slot.push_back(a.slot * slots.channels + a.channel);
   }
-  for (std::uint32_t b = 0; b < buckets.size(); ++b) {
-    PointMap<std::uint32_t> first_cover;
-    for (std::uint32_t i : buckets[b]) {
-      for (const Point& p : d.coverage_of(i)) {
-        auto [it, inserted] = first_cover.emplace(p, i);
-        if (!inserted) {
-          ++report.pairs_checked;
-          if (report.collision_free) {
-            report.collision_free = false;
-            report.witness = CollisionWitness{
-                b / slots.channels, static_cast<std::size_t>(it->second),
-                static_cast<std::size_t>(i), p};
-          }
-        }
-      }
-    }
-  }
+  CollisionReport report = check_collision_free(d, flat);
+  if (report.witness.has_value()) report.witness->slot /= slots.channels;
   return report;
 }
 

@@ -150,7 +150,7 @@ class ColoringPlanner final : public Planner {
 
 // Spatial region sharding (core/region_shard.hpp): the deployment's
 // window is partitioned into rectangular shards, each first-fit colored
-// from a streaming per-region CSR block, and the seams stitched back to
+// from conflict rows streamed one at a time, and the seams stitched back to
 // the exact serial greedy fixpoint.  The one backend that plans
 // million-sensor deployments without materializing the all-pairs
 // conflict graph.  A warm start colors no shard; the stitch repairs the

@@ -7,45 +7,6 @@
 
 namespace latticesched {
 
-namespace {
-
-/// Streaming one-row builder for the stitch pass: the candidate offset
-/// sets are computed once and shared across every lazily requested row
-/// (build_conflict_block amortizes them per block; the stitch asks for
-/// single rows).
-class RowBuilder {
- public:
-  explicit RowBuilder(const Deployment& d)
-      : d_(d), offsets_by_type_(d.prototiles().size()),
-        uniform_tiles_(d.prototiles().size() == 1) {}
-
-  void build(std::uint32_t u, std::vector<std::uint32_t>& row) const {
-    row.clear();
-    const std::uint32_t type = d_.type_of(u);
-    PointVec& offsets = offsets_by_type_[type];
-    if (offsets.empty()) offsets = conflict_candidate_offsets(d_, type);
-    const Point& pos = d_.position(u);
-    for (const Point& off : offsets) {
-      const auto v = d_.sensor_at(pos + off);
-      // Single prototile: a candidate-offset hit is a conflict by
-      // construction (same fast path as build_conflict_block).
-      if (v.has_value() && *v != u &&
-          (uniform_tiles_ || sensors_conflict(d_, u, *v))) {
-        row.push_back(static_cast<std::uint32_t>(*v));
-      }
-    }
-    std::sort(row.begin(), row.end());
-    row.erase(std::unique(row.begin(), row.end()), row.end());
-  }
-
- private:
-  const Deployment& d_;
-  mutable std::vector<PointVec> offsets_by_type_;
-  const bool uniform_tiles_;
-};
-
-}  // namespace
-
 RegionGrid partition_regions(const Deployment& d, std::size_t regions) {
   RegionGrid grid;
   const std::size_t n = d.size();
@@ -139,6 +100,7 @@ Coloring plan_regions(const Deployment& d, std::size_t regions,
   // backend's reported detail, and it must match the cold plan's.
   const RegionGrid grid = partition_regions(d, regions);
   const std::size_t total = grid.boxes.size();
+  const ConflictRows rows(d);
 
   // Warm plans color no shard: the carried table already holds the
   // previous fixpoint, and the stitch below repairs it from the sensors
@@ -150,20 +112,16 @@ Coloring plan_regions(const Deployment& d, std::size_t regions,
     colors = warm->greedy_colors;
     seeds = warm->dirty;
   } else {
-    // Phase 1: first-fit each shard independently from its streaming
-    // CSR block (intra-region edges only; blocks are discarded as soon
-    // as the shard is colored, so memory stays bounded per region times
-    // the worker count).  Writes touch disjoint index sets, and
-    // cross-region colors are never read, so the fan-out is race-free.
+    // Phase 1: first-fit each shard independently, one streamed row at a
+    // time (intra-region edges only; no per-shard block is built).
+    // Writes touch disjoint index sets, and cross-region colors are
+    // never read, so the fan-out is race-free.
     std::vector<char> seam(n, 0);
     parallel_for(0, total, [&](std::size_t r) {
-      const std::vector<std::uint32_t>& mem = grid.members[r];
-      if (mem.empty()) return;
-      const CsrU32 block = build_conflict_block(d, mem);
+      std::vector<std::uint32_t> row;
       std::vector<bool> used;
-      for (std::size_t li = 0; li < mem.size(); ++li) {
-        const std::uint32_t u = mem[li];
-        const auto row = block.row(li);
+      for (const std::uint32_t u : grid.members[r]) {
+        rows.build(u, row);
         used.assign(row.size() + 2, false);
         for (std::uint32_t v : row) {
           if (grid.region_of[v] != r) {
@@ -191,28 +149,32 @@ Coloring plan_regions(const Deployment& d, std::size_t regions,
 
   // Phase 2: stitch back to the global greedy fixpoint.  Rows are
   // streamed lazily and memoized — only seeds and vertices reached by
-  // color propagation are ever materialized.
-  const RowBuilder builder(d);
-  std::vector<std::vector<std::uint32_t>> rows(n);
-  std::vector<char> have(n, 0);
-  const NeighborProvider provider =
-      [&](std::uint32_t u) -> const std::vector<std::uint32_t>& {
-    if (!have[u]) {
-      builder.build(u, rows[u]);
-      have[u] = 1;
+  // color propagation are ever materialized.  A cold plan without seams
+  // is the fixpoint already.
+  std::uint64_t recolored = 0;
+  if (warm_ok || !seeds.empty()) {
+    std::vector<std::vector<std::uint32_t>> memo(n);
+    std::vector<char> have(n, 0);
+    const NeighborProvider provider =
+        [&](std::uint32_t u) -> const std::vector<std::uint32_t>& {
+      if (!have[u]) {
+        rows.build(u, memo[u]);
+        have[u] = 1;
+      }
+      return memo[u];
+    };
+    const Coloring before = colors;
+    colors = incremental_greedy_coloring(n, provider, std::move(colors), seeds);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (colors[i] != before[i]) ++recolored;
     }
-    return rows[u];
-  };
-  const Coloring before = colors;
-  colors = incremental_greedy_coloring(n, provider, std::move(colors), seeds);
+  }
 
   if (stats != nullptr) {
     stats->regions += total;
     if (!warm_ok) stats->regions_planned += total;
     stats->seam_sensors += seam_count;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (colors[i] != before[i]) ++stats->stitch_recolored;
-    }
+    stats->stitch_recolored += recolored;
   }
   return colors;
 }

@@ -10,9 +10,9 @@
 //      axis-aligned grid of ~`regions` rectangular core boxes, each
 //      sensor assigned to exactly one.
 //   2. The region planner: each shard first-fit colored independently
-//      (parallel_for over shards) from a streaming per-region CSR block
-//      (build_conflict_block) — the full all-pairs conflict graph is
-//      never materialized, keeping memory bounded per region.
+//      (parallel_for over shards) from conflict rows streamed one at a
+//      time (ConflictRows) — neither the full all-pairs conflict graph
+//      nor a per-shard block is ever materialized.
 //   3. The seam stitcher: sensors with cross-region conflicts are
 //      repaired with the lazy-row incremental_greedy_coloring fixpoint
 //      pass.  Greedy first-fit is the unique fixpoint of

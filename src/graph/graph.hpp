@@ -19,9 +19,9 @@ class Graph {
   /// Builds a graph directly from full adjacency lists (each vertex lists
   /// ALL its neighbors, both directions present).  Lists must be sorted,
   /// duplicate-free, self-loop-free and symmetric; throws otherwise.
-  /// This is the bulk entry point the parallel conflict-graph builder
-  /// uses: per-vertex lists are computed concurrently, then adopted here
-  /// in one validation pass instead of n·deg sorted insertions.
+  /// This is the bulk entry point of the conflict-graph builder and the
+  /// session graph patch: streamed rows are adopted here in one
+  /// validation pass instead of n·deg sorted insertions.
   static Graph from_sorted_adjacency(
       std::vector<std::vector<std::uint32_t>> adjacency);
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/parallel.hpp"
-
 namespace latticesched {
 
 Deployment::Deployment(PointVec positions, std::vector<std::uint32_t> types,
@@ -22,23 +20,32 @@ Deployment::Deployment(PointVec positions, std::vector<std::uint32_t> types,
       throw std::invalid_argument("Deployment: bad prototile index");
     }
   }
+  if (positions_.empty()) return;
+  // Every probe adds prototile offsets to positions, so a prototile of
+  // another dimension could only ever give wrong answers.
+  for (const Prototile& t : prototiles_) {
+    if (t.dim() != positions_.front().dim()) {
+      throw std::invalid_argument(
+          "Deployment: prototile dimension differs from the positions'");
+    }
+  }
+  // Dense first: lattice deployments get arithmetic ids.  The sentinel id
+  // table is O(hull volume) (same density demand as coverage_grid), so
+  // only scattered hulls, which the dense index declines, are hashed.
+  const std::uint64_t cap = std::min<std::uint64_t>(
+      kDenseGridCellCap,
+      std::max<std::uint64_t>(std::uint64_t{1} << 16,
+                              64 * positions_.size()));
+  try {
+    position_index_ = PointIndexer::try_for_points(positions_, cap);
+  } catch (const PointIndexer::DuplicatePoint&) {
+    throw std::invalid_argument("Deployment: duplicate sensor position");
+  }
+  if (position_index_.has_value()) return;
+  index_of_position_.reserve(positions_.size());
   for (std::uint32_t i = 0; i < positions_.size(); ++i) {
     if (!index_of_position_.emplace(positions_[i], i).second) {
       throw std::invalid_argument("Deployment: duplicate sensor position");
-    }
-  }
-  if (!positions_.empty()) {
-    // Same density demand as coverage_grid: the sentinel id table is
-    // O(hull volume), so scattered deployments keep the hash map.
-    const std::uint64_t cap = std::min<std::uint64_t>(
-        kDenseGridCellCap,
-        std::max<std::uint64_t>(std::uint64_t{1} << 16,
-                                64 * positions_.size()));
-    position_index_ = PointIndexer::try_for_points(positions_, cap);
-    if (position_index_.has_value()) {
-      // The hash map was only duplicate-detection scratch once the dense
-      // index answers sensor_at; release it instead of carrying both.
-      index_of_position_ = {};
     }
   }
 }
@@ -99,14 +106,20 @@ std::optional<PointIndexer> Deployment::coverage_grid(
   max_cells = std::min<std::uint64_t>(
       max_cells,
       std::max<std::uint64_t>(std::uint64_t{1} << 16, 32 * total_coverage));
-  // Hull of positions, dilated by the hull of every prototile's bounding
-  // box: conservative (may include never-covered cells) but exact enough —
-  // grid mode answers id_of for every covered point in O(d).
+  // Hull of positions (the dense position index holds it already),
+  // dilated by the hull of every prototile's bounding box: conservative
+  // (may include never-covered cells) but exact enough — grid mode
+  // answers id_of for every covered point in O(d).
   Point lo = positions_.front(), hi = positions_.front();
-  for (const Point& p : positions_) {
-    for (std::size_t a = 0; a < d; ++a) {
-      lo[a] = std::min(lo[a], p[a]);
-      hi[a] = std::max(hi[a], p[a]);
+  if (position_index_.has_value()) {
+    lo = position_index_->bounds().lo();
+    hi = position_index_->bounds().hi();
+  } else {
+    for (const Point& p : positions_) {
+      for (std::size_t a = 0; a < d; ++a) {
+        lo[a] = std::min(lo[a], p[a]);
+        hi[a] = std::max(hi[a], p[a]);
+      }
     }
   }
   Point off_lo = Point::zero(d), off_hi = Point::zero(d);
@@ -128,28 +141,6 @@ std::optional<PointIndexer> Deployment::coverage_grid(
     volume *= extent;
   }
   return PointIndexer::for_box(Box(lo, hi));
-}
-
-CsrU32 coverage_ids(const Deployment& d, const PointIndexer& grid) {
-  CsrU32 cov;
-  cov.begin_counting(d.size());
-  for (std::uint32_t i = 0; i < d.size(); ++i) {
-    cov.offsets[i + 1] =
-        static_cast<std::uint32_t>(d.neighborhood_of(i).size());
-  }
-  cov.finish_counting();
-  for (std::uint32_t i = 0; i < d.size(); ++i) {
-    const Point& pos = d.position(i);
-    for (const Point& n : d.neighborhood_of(i).points()) {
-      const std::uint32_t id = grid.id_of(pos + n);
-      if (id == PointIndexer::kInvalid) {
-        throw std::invalid_argument(
-            "coverage_ids: grid does not cover the deployment");
-      }
-      cov.push(i, id);
-    }
-  }
-  return cov;
 }
 
 CsrU32 build_listeners(const Deployment& d) {
@@ -175,75 +166,15 @@ CsrU32 build_listeners(const Deployment& d) {
   return listeners;
 }
 
-namespace {
-
-// Seed path, kept for deployments whose coverage hull defeats the grid.
-Graph build_conflict_graph_hashed(const Deployment& d) {
-  Graph g(d.size());
-  PointMap<std::vector<std::uint32_t>> covered_by;
-  for (std::uint32_t i = 0; i < d.size(); ++i) {
-    for (const Point& p : d.coverage_of(i)) {
-      covered_by[p].push_back(i);
-    }
-  }
-  for (const auto& [p, ids] : covered_by) {
-    for (std::size_t a = 0; a < ids.size(); ++a) {
-      for (std::size_t b = a + 1; b < ids.size(); ++b) {
-        g.add_edge(ids[a], ids[b]);
-      }
-    }
-  }
-  return g;
-}
-
-}  // namespace
-
 Graph build_conflict_graph(const Deployment& d) {
-  const auto grid = d.coverage_grid();
-  if (!grid.has_value()) return build_conflict_graph_hashed(d);
-  // Invert coverage on the dense grid: CSR row per grid cell listing the
-  // sensors that cover it; any two of them conflict.
-  const CsrU32 cov = coverage_ids(d, *grid);
-  CsrU32 covered_by;
-  covered_by.begin_counting(grid->size());
-  for (std::uint32_t id : cov.values) covered_by.count(id);
-  covered_by.finish_counting();
-  for (std::uint32_t i = 0; i < d.size(); ++i) {
-    for (std::uint32_t id : cov.row(i)) covered_by.push(id, i);
+  const ConflictRows rows(d);
+  std::vector<std::vector<std::uint32_t>> adj(d.size());
+  std::vector<std::uint32_t> row;
+  for (std::uint32_t u = 0; u < d.size(); ++u) {
+    rows.build(u, row);
+    adj[u].assign(row.begin(), row.end());
   }
-  // Neighbor enumeration dominates; it parallelizes per sensor because
-  // sensor u's conflict partners — every sensor sharing a covered cell —
-  // depend only on the (const) CSR tables.  The per-u list is sorted and
-  // deduplicated locally, so the resulting adjacency is a pure function
-  // of the deployment: byte-identical at any thread count (the
-  // determinism test pins threads=1 vs threads=N).
-  if (parallel_threads() > 1 && !in_parallel_region() && d.size() >= 256) {
-    std::vector<std::vector<std::uint32_t>> adj(d.size());
-    parallel_for(
-        0, d.size(),
-        [&](std::size_t u) {
-          auto& out = adj[u];
-          for (std::uint32_t id : cov.row(u)) {
-            for (std::uint32_t v : covered_by.row(id)) {
-              if (v != static_cast<std::uint32_t>(u)) out.push_back(v);
-            }
-          }
-          std::sort(out.begin(), out.end());
-          out.erase(std::unique(out.begin(), out.end()), out.end());
-        },
-        16);
-    return Graph::from_sorted_adjacency(std::move(adj));
-  }
-  Graph g(d.size());
-  for (std::size_t cell = 0; cell < covered_by.rows(); ++cell) {
-    const auto ids = covered_by.row(cell);
-    for (std::size_t a = 0; a < ids.size(); ++a) {
-      for (std::size_t b = a + 1; b < ids.size(); ++b) {
-        g.add_edge(ids[a], ids[b]);
-      }
-    }
-  }
-  return g;
+  return Graph::from_sorted_adjacency(std::move(adj));
 }
 
 std::vector<std::vector<std::uint32_t>> build_affects_digraph(
@@ -264,16 +195,14 @@ std::vector<std::vector<std::uint32_t>> build_affects_digraph(
 
 PointVec conflict_candidate_offsets(const Deployment& d,
                                     std::uint32_t type) {
-  PointSet seen;
+  PointVec diffs;
   const Prototile& nu = d.prototiles()[type];
   for (const Prototile& nv : d.prototiles()) {
     for (const Point& a : nu.points()) {
-      for (const Point& b : nv.points()) {
-        seen.insert(a - b);
-      }
+      for (const Point& b : nv.points()) diffs.push_back(a - b);
     }
   }
-  return PointVec(seen.begin(), seen.end());
+  return sorted_unique(std::move(diffs));
 }
 
 std::int64_t interference_reach(const Deployment& d) {
@@ -286,20 +215,62 @@ std::int64_t interference_reach(const Deployment& d) {
   return reach;
 }
 
+ConflictRows::ConflictRows(const Deployment& d)
+    : d_(d), index_(d.position_index()), by_type_(d.prototiles().size()) {
+  for (std::uint32_t t = 0; t < by_type_.size(); ++t) {
+    Probe& probe = by_type_[t];
+    for (const Point& off : conflict_candidate_offsets(d, t)) {
+      if (off.is_zero()) continue;  // the sensor itself
+      probe.offsets.push_back(off);
+      probe.reach = std::max(probe.reach, off.norm_inf());
+      if (index_ != nullptr) probe.disp.push_back(index_->displacement(off));
+    }
+  }
+}
+
+void ConflictRows::build(std::uint32_t u,
+                         std::vector<std::uint32_t>& row) const {
+  const Probe& probe = by_type_[d_.type_of(u)];
+  const Point& pos = d_.position(u);
+  // Interior sensor: every candidate lies inside the position hull, so
+  // its id sits at a fixed linear displacement from u's own cell.
+  bool interior = index_ != nullptr;
+  for (std::size_t a = 0; interior && a < pos.dim(); ++a) {
+    interior = pos[a] - index_->bounds().lo()[a] >= probe.reach &&
+               index_->bounds().hi()[a] - pos[a] >= probe.reach;
+  }
+  const std::int64_t cell = interior ? index_->linear_of(u) : 0;
+  row.resize(probe.offsets.size());
+  std::size_t n = 0;
+  for (std::size_t k = 0; k < probe.offsets.size(); ++k) {
+    std::uint32_t v = PointIndexer::kInvalid;
+    if (interior) {
+      v = index_->id_at(static_cast<std::uint64_t>(cell + probe.disp[k]));
+    } else if (index_ != nullptr) {
+      v = index_->id_of_sum(pos, probe.offsets[k]);
+    } else if (const auto hit = d_.sensor_at(pos + probe.offsets[k])) {
+      v = static_cast<std::uint32_t>(*hit);
+    }
+    if (v != PointIndexer::kInvalid) row[n++] = v;
+  }
+  row.resize(n);
+  // Single prototile: a candidate-offset hit is a conflict by
+  // construction.  Otherwise the offset may come from another type's
+  // prototile than v's, so confirm the pair.
+  if (by_type_.size() > 1) {
+    std::erase_if(row, [&](std::uint32_t v) {
+      return !sensors_conflict(d_, u, v);
+    });
+  }
+  // Canonical offsets on a row-major fleet already give ascending ids.
+  if (!std::is_sorted(row.begin(), row.end())) {
+    std::sort(row.begin(), row.end());
+  }
+}
+
 CsrU32 build_conflict_block(const Deployment& d,
                             const std::vector<std::uint32_t>& sensors) {
-  std::vector<PointVec> offsets_by_type(d.prototiles().size());
-  const auto offsets_for = [&](std::uint32_t type) -> const PointVec& {
-    PointVec& offsets = offsets_by_type[type];
-    if (offsets.empty()) offsets = conflict_candidate_offsets(d, type);
-    return offsets;
-  };
-  // Single-prototile fast path: a candidate offset a - b hitting a
-  // sensor v means the cell pos_u + a = pos_v + b is covered by both
-  // neighborhoods, so every probe hit IS a conflict — the pairwise
-  // confirmation only matters when v's prototile may differ from the
-  // one b was drawn from.
-  const bool uniform_tiles = d.prototiles().size() == 1;
+  const ConflictRows rows(d);
   CsrU32 block;
   block.offsets.reserve(sensors.size() + 1);
   block.offsets.push_back(0);
@@ -309,17 +280,7 @@ CsrU32 build_conflict_block(const Deployment& d,
       throw std::invalid_argument(
           "build_conflict_block: sensor index out of range");
     }
-    row.clear();
-    const Point& pos = d.position(u);
-    for (const Point& off : offsets_for(d.type_of(u))) {
-      const auto v = d.sensor_at(pos + off);
-      if (v.has_value() && *v != u &&
-          (uniform_tiles || sensors_conflict(d, u, *v))) {
-        row.push_back(static_cast<std::uint32_t>(*v));
-      }
-    }
-    std::sort(row.begin(), row.end());
-    row.erase(std::unique(row.begin(), row.end()), row.end());
+    rows.build(u, row);
     block.values.insert(block.values.end(), row.begin(), row.end());
     if (block.values.size() > 0xFFFFFFFFull) {
       throw std::length_error(
@@ -370,21 +331,10 @@ Graph patch_conflict_graph(const Graph& old_graph, const Deployment& new_d,
   // Dirty rows rebuild locally.  Dirty-dirty edges are discovered from
   // both endpoints (the predicate is symmetric), so each dirty row is
   // complete on its own; only clean partners need the symmetric insert.
-  std::vector<PointVec> offsets_by_type(new_d.prototiles().size());
+  const ConflictRows rows(new_d);
   for (std::uint32_t u : dirty) {
-    const std::uint32_t type = new_d.type_of(u);
-    PointVec& offsets = offsets_by_type[type];
-    if (offsets.empty()) offsets = conflict_candidate_offsets(new_d, type);
-    const Point& pos = new_d.position(u);
     std::vector<std::uint32_t>& row = adj[u];
-    for (const Point& off : offsets) {
-      const auto v = new_d.sensor_at(pos + off);
-      if (v.has_value() && *v != u && sensors_conflict(new_d, u, *v)) {
-        row.push_back(static_cast<std::uint32_t>(*v));
-      }
-    }
-    std::sort(row.begin(), row.end());
-    row.erase(std::unique(row.begin(), row.end()), row.end());
+    rows.build(u, row);
     for (std::uint32_t v : row) {
       if (is_dirty[v]) continue;
       std::vector<std::uint32_t>& back = adj[v];

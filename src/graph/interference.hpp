@@ -10,10 +10,13 @@
 // "distance ≤ 2 via a common out-neighbor" in the affects digraph.
 //
 // Engine note: deployment queries back every verification, graph build
-// and simulation step, so positions are indexed by a dense PointIndexer
-// grid when the deployment's bounding box permits (always, for the grid
-// deployments the experiments use); the seed's hash map remains as the
-// fallback for pathologically scattered deployments.
+// and simulation step, so positions are indexed dense-first: the
+// constructor builds a PointIndexer id table over the positions' hull
+// whenever the hull permits (always, for the lattice deployments the
+// paper studies), and only scattered hulls, which the dense index
+// declines, fall back to the seed's hash map.  Conflict rows come from one
+// streamer, ConflictRows, which answers each neighbour probe of an
+// interior sensor with a fixed linear displacement in that id table.
 #pragma once
 
 #include <cstdint>
@@ -69,9 +72,14 @@ class Deployment {
   /// the dense position index; hash lookup only on the fallback path.
   std::optional<std::size_t> sensor_at(const Point& p) const;
 
+  /// The dense position index (ids are sensor indices), or nullptr when
+  /// the hull is too scattered and sensor_at hashes instead.
+  const PointIndexer* position_index() const {
+    return position_index_.has_value() ? &*position_index_ : nullptr;
+  }
+
   /// Dense grid over the hull of every sensor's coverage, or nullopt when
-  /// it would exceed `max_cells`.  The id space shared by the collision
-  /// checker and the conflict-graph builder.
+  /// it would exceed `max_cells`.  The id space of the collision checker.
   std::optional<PointIndexer> coverage_grid(
       std::uint64_t max_cells = kDenseGridCellCap) const;
 
@@ -81,15 +89,11 @@ class Deployment {
   PointVec positions_;
   std::vector<std::uint32_t> types_;
   std::vector<Prototile> prototiles_;
-  PointMap<std::uint32_t> index_of_position_;
   /// Dense position -> sensor id grid (absent for scattered deployments).
   std::optional<PointIndexer> position_index_;
+  /// Hash fallback, filled only when the dense index declines.
+  PointMap<std::uint32_t> index_of_position_;
 };
-
-/// Coverage lists of every sensor as grid ids in one CSR buffer: row i
-/// holds grid.id_of(p) for p in coverage_of(i), in canonical element
-/// order.  `grid` must cover the deployment (see Deployment::coverage_grid).
-CsrU32 coverage_ids(const Deployment& d, const PointIndexer& grid);
 
 /// The simulators' listener relation as CSR: row u lists the sensors
 /// located inside coverage_of(u), excluding u itself (the radio model's
@@ -99,6 +103,7 @@ CsrU32 build_listeners(const Deployment& d);
 
 /// Undirected conflict graph: edge (i, j) iff coverage_of(i) and
 /// coverage_of(j) intersect.  Proper colorings = collision-free schedules.
+/// Streamed row by row through ConflictRows.
 Graph build_conflict_graph(const Deployment& d);
 
 /// Directed affects relation as adjacency lists: affects[i] lists sensors
@@ -110,11 +115,11 @@ std::vector<std::vector<std::uint32_t>> build_affects_digraph(
 /// (allocation-free sorted-order merge; used to cross-check the builders).
 bool sensors_conflict(const Deployment& d, std::size_t i, std::size_t j);
 
-/// Candidate neighbor offsets of a sensor of type `type`: every a - b
-/// with a in N_type and b in any prototile of the deployment.  A sensor
-/// v conflicts u iff pos(v) - pos(u) lies in this set (for v's type), so
-/// probing sensor_at over it enumerates every conflict partner of u
-/// without touching the rest of the deployment.
+/// Candidate neighbor offsets of a sensor of type `type`, in canonical
+/// (sorted) order: every a - b with a in N_type and b in any prototile of
+/// the deployment.  A sensor v conflicts u iff pos(v) - pos(u) lies in
+/// this set (for v's type), so probing it enumerates every conflict
+/// partner of u without touching the rest of the deployment.
 PointVec conflict_candidate_offsets(const Deployment& d, std::uint32_t type);
 
 /// Chebyshev interference reach of the deployment: the largest l-inf
@@ -122,12 +127,37 @@ PointVec conflict_candidate_offsets(const Deployment& d, std::uint32_t type);
 /// this can never conflict (the tuner fingerprints it as the radius).
 std::int64_t interference_reach(const Deployment& d);
 
+/// The one conflict-row streamer.  Per prototile it keeps the nonzero
+/// candidate offsets in canonical order, their linear displacements in
+/// the deployment's position index and their Chebyshev reach.  An
+/// interior sensor (every candidate inside the position hull) reads its
+/// partners as id_at(cell + displacement) with no bounds check; boundary
+/// sensors probe position + offset checked, and scattered deployments
+/// hash.  Immutable after construction, so threads may share one.
+class ConflictRows {
+ public:
+  explicit ConflictRows(const Deployment& d);
+
+  /// Replaces `row` with sensor u's conflict row: global ids, ascending
+  /// (on row-major fleets the canonical offsets give that order as is).
+  void build(std::uint32_t u, std::vector<std::uint32_t>& row) const;
+
+ private:
+  struct Probe {
+    PointVec offsets;                ///< canonical order, zero excluded
+    std::vector<std::int64_t> disp;  ///< per offset; empty when hashed
+    std::int64_t reach = 0;          ///< max l-inf norm of the offsets
+  };
+  const Deployment& d_;
+  const PointIndexer* index_;
+  std::vector<Probe> by_type_;
+};
+
 /// Streaming per-region conflict rows: a CSR block with one row per
 /// listed sensor (in the given order) holding its full sorted conflict
-/// row as GLOBAL sensor ids.  Built by localized sensor_at probes over
-/// the candidate-offset sets — cost and memory scale with the block, so
-/// million-sensor deployments are planned region by region without ever
-/// materializing the all-pairs adjacency of build_conflict_graph.
+/// row as GLOBAL sensor ids, built by ConflictRows — cost and memory
+/// scale with the block, never with the all-pairs adjacency of
+/// build_conflict_graph.
 CsrU32 build_conflict_block(const Deployment& d,
                             const std::vector<std::uint32_t>& sensors);
 
@@ -142,10 +172,9 @@ inline constexpr std::uint32_t kRemovedSensor = 0xffffffffu;
 /// take the trailing indices).  `dirty` lists the NEW indices whose
 /// conflict rows cannot be carried over — moved, reshaped and added
 /// sensors — sorted ascending.  Clean rows are remapped; dirty rows
-/// are rebuilt locally by probing sensor_at over the pairwise
-/// difference sets of the prototiles (the localized form of the
-/// `affects` relation), so the cost scales with the delta, not the
-/// deployment.  The result is exactly build_conflict_graph(new_d).
+/// are rebuilt locally by ConflictRows, so the cost scales with the
+/// delta, not the deployment.  The result is exactly
+/// build_conflict_graph(new_d).
 Graph patch_conflict_graph(const Graph& old_graph, const Deployment& new_d,
                            const std::vector<std::uint32_t>& old_to_new,
                            const std::vector<std::uint32_t>& dirty);

@@ -104,7 +104,7 @@ std::optional<PointIndexer> PointIndexer::try_for_points(
   }
   PointIndexer idx(lo, extent, /*axis0_fastest=*/false);
   idx.id_table_.assign(static_cast<std::size_t>(volume), kInvalid);
-  idx.points_ = pts;
+  idx.linear_of_.resize(pts.size());
   idx.size_ = pts.size();
   for (std::uint32_t i = 0; i < pts.size(); ++i) {
     std::uint64_t linear = 0;
@@ -113,20 +113,28 @@ std::optional<PointIndexer> PointIndexer::try_for_points(
                 idx.stride_[k];
     }
     if (idx.id_table_[linear] != kInvalid) {
-      throw std::invalid_argument("PointIndexer: duplicate point");
+      throw DuplicatePoint("PointIndexer: duplicate point");
     }
     idx.id_table_[linear] = i;
+    idx.linear_of_[i] = static_cast<std::uint32_t>(linear);
   }
   return idx;
+}
+
+std::int64_t PointIndexer::displacement(const Point& off) const {
+  std::int64_t disp = 0;
+  for (std::size_t i = 0; i < dim_; ++i) {
+    disp += off[i] * static_cast<std::int64_t>(stride_[i]);
+  }
+  return disp;
 }
 
 Point PointIndexer::point_of(std::uint32_t id) const {
   if (id >= size_) {
     throw std::out_of_range("PointIndexer::point_of: bad id");
   }
-  if (!points_.empty()) return points_[id];
   Point p = lo_;
-  std::uint64_t rest = id;
+  std::uint64_t rest = linear_of(id);
   if (axis0_fastest_) {
     for (std::size_t i = 0; i < dim_; ++i) {
       p[i] += static_cast<std::int64_t>(
@@ -144,7 +152,6 @@ Point PointIndexer::point_of(std::uint32_t id) const {
 }
 
 PointVec PointIndexer::points() const {
-  if (!points_.empty()) return points_;
   PointVec out;
   out.reserve(size_);
   for (std::uint32_t i = 0; i < size_; ++i) out.push_back(point_of(i));

@@ -19,7 +19,13 @@
 //                    so coset ids are a perfect dense code;
 //  * for_points:     an arbitrary (duplicate-free) point list, ids in the
 //                    given order, backed by a grid-shaped id table over the
-//                    bounding box with an invalid-id sentinel.
+//                    bounding box with an invalid-id sentinel.  The points
+//                    themselves are not kept: each id stores its grid-linear
+//                    cell (one uint32), and point_of decodes it.
+//
+// A point's grid-linear cell is sum_i (p_i - lo_i) * stride_i, so a fixed
+// offset moves every in-hull point by one fixed linear displacement
+// (`displacement`); hot loops probe neighbours as id_at(cell + disp).
 //
 // for_points densifies the bounding box, so callers indexing scattered
 // points should bound the admissible grid volume (`try_for_points`) and
@@ -29,6 +35,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "lattice/point.hpp"
@@ -42,6 +49,11 @@ class PointIndexer {
   /// Sentinel returned by id_of for points outside the indexed set.
   static constexpr std::uint32_t kInvalid = 0xFFFFFFFFu;
 
+  /// Thrown by for_points / try_for_points when a point repeats.
+  struct DuplicatePoint : std::invalid_argument {
+    using std::invalid_argument::invalid_argument;
+  };
+
   /// Indexes every point of `box`; ids follow Box::points() order.
   static PointIndexer for_box(const Box& box);
 
@@ -51,11 +63,13 @@ class PointIndexer {
   static PointIndexer for_sublattice(const Sublattice& m);
 
   /// Indexes `pts` (must be duplicate-free); ids follow the given order.
-  /// Throws std::invalid_argument on duplicates or an empty list.
+  /// Throws DuplicatePoint on duplicates and std::invalid_argument on an
+  /// empty list or mixed dimensions.
   static PointIndexer for_points(const PointVec& pts);
 
   /// As for_points, but declines (nullopt) when the bounding-box grid
   /// would exceed `max_grid_cells` — callers keep their hash fallback.
+  /// Errors are for_points'.
   static std::optional<PointIndexer> try_for_points(
       const PointVec& pts, std::uint64_t max_grid_cells);
 
@@ -76,14 +90,39 @@ class PointIndexer {
       if (c < 0 || c >= extent_[i]) return kInvalid;
       linear += static_cast<std::uint64_t>(c) * stride_[i];
     }
-    if (id_table_.empty()) return static_cast<std::uint32_t>(linear);
-    return id_table_[linear];
+    return id_at(linear);
   }
+
+  /// id_of(p + off) without building the sum.
+  std::uint32_t id_of_sum(const Point& p, const Point& off) const {
+    if (p.dim() != dim_ || off.dim() != dim_) return kInvalid;
+    std::uint64_t linear = 0;
+    for (std::size_t i = 0; i < dim_; ++i) {
+      const std::int64_t c = p[i] + off[i] - lo_[i];
+      if (c < 0 || c >= extent_[i]) return kInvalid;
+      linear += static_cast<std::uint64_t>(c) * stride_[i];
+    }
+    return id_at(linear);
+  }
+
+  /// Id at grid-linear cell `linear` (< bounds().size()), or kInvalid.
+  std::uint32_t id_at(std::uint64_t linear) const {
+    return id_table_.empty() ? static_cast<std::uint32_t>(linear)
+                             : id_table_[linear];
+  }
+
+  /// Grid-linear cell of id (< size()); ids are cells in the grid modes.
+  std::uint32_t linear_of(std::uint32_t id) const {
+    return linear_of_.empty() ? id : linear_of_[id];
+  }
+
+  /// Linear displacement of `off`: the cell of p + off is the cell of p
+  /// plus displacement(off) whenever both points lie in bounds().
+  std::int64_t displacement(const Point& off) const;
 
   bool contains(const Point& p) const { return id_of(p) != kInvalid; }
 
-  /// Inverse map; id must be < size().  O(d) decode (grid modes) or a
-  /// table read (for_points mode).
+  /// Inverse map; id must be < size().  O(d) decode of the id's cell.
   Point point_of(std::uint32_t id) const;
 
   /// Materializes point_of for all ids (in id order).
@@ -102,8 +141,8 @@ class PointIndexer {
   /// Empty in the dense grid modes; otherwise grid-linear -> id (kInvalid
   /// marks grid cells that are not members of the indexed set).
   std::vector<std::uint32_t> id_table_;
-  /// Empty in the dense grid modes; otherwise id -> point storage.
-  PointVec points_;
+  /// Empty in the dense grid modes; otherwise id -> grid-linear cell.
+  std::vector<std::uint32_t> linear_of_;
   bool axis0_fastest_ = false;
 };
 

@@ -277,6 +277,31 @@ TEST(DeploymentIndex, ScatteredDeploymentFallsBackToHashing) {
   EXPECT_EQ(build_conflict_graph(d).edge_count(), 0u);
 }
 
+TEST(DeploymentIndex, RejectsPrototilesOfAnotherDimension) {
+  // A 3-D neighborhood on 2-D positions: every probe would add offsets of
+  // the wrong dimension, so the constructor refuses it on both index
+  // paths (dense hull, scattered hull) and for an unused prototile too.
+  EXPECT_THROW(Deployment::uniform({Point{0, 0}, Point{0, 1}, Point{5, 5}},
+                                   shapes::chebyshev_ball(3, 1)),
+               std::invalid_argument);
+  EXPECT_THROW(Deployment::uniform({Point{0, 0}, Point{1 << 20, 1 << 20}},
+                                   shapes::chebyshev_ball(3, 1)),
+               std::invalid_argument);
+  EXPECT_THROW(Deployment::assemble({Point{0, 0}}, {0},
+                                    {shapes::chebyshev_ball(2, 1),
+                                     shapes::chebyshev_ball(1, 1)}),
+               std::invalid_argument);
+  // Mixed position dimensions keep throwing.
+  EXPECT_THROW(Deployment::uniform({Point{0, 0}, Point{0, 0, 1}},
+                                   shapes::chebyshev_ball(2, 1)),
+               std::invalid_argument);
+  // Matching dimensions construct, empty deployments included.
+  EXPECT_EQ(Deployment::uniform({Point{0, 0, 0}}, shapes::chebyshev_ball(3, 1))
+                .size(),
+            1u);
+  EXPECT_EQ(Deployment::uniform({}, shapes::chebyshev_ball(3, 1)).size(), 0u);
+}
+
 TEST(DeploymentIndex, DenseAndHashedConflictGraphsAgree) {
   const Deployment d =
       Deployment::grid(Box::centered(2, 4), shapes::l1_ball(2, 1));

@@ -70,6 +70,45 @@ TEST(MultiChannel, DetectsPlantedCollision) {
   EXPECT_TRUE(check_collision_free_multichannel(d, slots).collision_free);
 }
 
+TEST(MultiChannel, SeededCollisionMatchesFlattenedReference) {
+  // The 3-channel fold of the 9-slot schedule on a 6x6 grid, with sensor
+  // 1 = (0, 1) moved into the (slot, channel) bucket of its neighbour
+  // sensor 0 = (0, 0): the only collision, first found at (-1, 0), the
+  // first point of sensor 1's coverage.
+  const Deployment d =
+      Deployment::grid(Box::cube(2, 0, 5), shapes::chebyshev_ball(2, 1));
+  MultiChannelSlots slots = assign_multichannel(
+      MultiChannelSchedule(base_schedule(), 3), d);
+  slots.assignment[1] = slots.assignment[0];
+  const CollisionReport r = check_collision_free_multichannel(d, slots);
+  ASSERT_FALSE(r.collision_free);
+  ASSERT_TRUE(r.witness.has_value());
+  EXPECT_EQ(r.witness->slot, slots.assignment[0].slot);
+  EXPECT_EQ(r.witness->sensor_a, 0u);
+  EXPECT_EQ(r.witness->sensor_b, 1u);
+  EXPECT_EQ(r.witness->point, (Point{-1, 0}));
+  // The same table flattened to bucket slot * channels + channel.
+  SensorSlots flat;
+  flat.period = slots.period * slots.channels;
+  for (const SlotChannel& a : slots.assignment) {
+    flat.slot.push_back(a.slot * slots.channels + a.channel);
+  }
+  const CollisionReport ref = check_collision_free_reference(d, flat);
+  ASSERT_TRUE(ref.witness.has_value());
+  EXPECT_EQ(r.witness->slot, ref.witness->slot / slots.channels);
+  EXPECT_EQ(r.witness->sensor_a, ref.witness->sensor_a);
+  EXPECT_EQ(r.witness->sensor_b, ref.witness->sensor_b);
+  EXPECT_EQ(r.witness->point, ref.witness->point);
+  EXPECT_EQ(r.pairs_checked, ref.pairs_checked);
+  EXPECT_GT(r.pairs_checked, 0u);
+}
+
+TEST(MultiChannel, EmptyDeploymentWithZeroPeriodIsCollisionFree) {
+  const Deployment d = Deployment::uniform({}, shapes::chebyshev_ball(2, 1));
+  MultiChannelSlots slots;  // period 0, channels 0
+  EXPECT_TRUE(check_collision_free_multichannel(d, slots).collision_free);
+}
+
 TEST(MultiChannel, ValidationErrors) {
   const Prototile ball = shapes::chebyshev_ball(2, 1);
   const Deployment d = Deployment::uniform({Point{0, 0}}, ball);
