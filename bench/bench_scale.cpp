@@ -111,7 +111,7 @@ double region_ms(const Deployment& d, std::size_t regions, int reps,
   for (int rep = 0; rep < reps; ++rep) {
     if (stats != nullptr) *stats = RegionShardStats{};
     const Clock::time_point t0 = Clock::now();
-    benchmark::DoNotOptimize(plan_regions(d, regions, nullptr, stats));
+    benchmark::DoNotOptimize(plan_regions(d, regions, stats));
     best = std::min(
         best, std::chrono::duration<double>(Clock::now() - t0).count() * 1e3);
   }
@@ -202,7 +202,7 @@ void report() {
     const Deployment million = large_grid(1000000);
     RegionShardStats stats;
     const Clock::time_point t0 = Clock::now();
-    const Coloring colors = plan_regions(million, 64, nullptr, &stats);
+    const Coloring colors = plan_regions(million, 64, &stats);
     const double ms =
         std::chrono::duration<double>(Clock::now() - t0).count() * 1e3;
     std::uint32_t period = 0;
@@ -231,7 +231,7 @@ void BM_RegionPlan20k(benchmark::State& state) {
   static const Deployment* d = new Deployment(large_grid(20000));
   const auto regions = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(plan_regions(*d, regions, nullptr, nullptr));
+    benchmark::DoNotOptimize(plan_regions(*d, regions, nullptr));
   }
 }
 BENCHMARK(BM_RegionPlan20k)->Arg(1)->Arg(4)->Arg(16);

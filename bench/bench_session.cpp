@@ -3,8 +3,10 @@
 // The report section measures the session API's reason to exist:
 // replanning after a SMALL deployment delta (one sensor dies) must be
 // far cheaper than a cold plan of the same deployment, because the
-// session reuses the memoized torus search, patches the conflict graph
-// instead of rebuilding it, and warm-starts the greedy coloring.
+// session reuses the memoized torus search and the greedy table, which
+// apply() repairs (a tiling+greedy session holds no conflict graph at
+// all).  The records time replan() alone; the repair's cost sits in
+// apply(), which they leave out.
 // Headline number: incremental-vs-cold speedup on small-delta steps of
 // the warm grid scenario (acceptance target >= 5x), recorded in
 // machine-readable BENCH_session.json (path override:
@@ -36,11 +38,6 @@ struct SessionRecord {
   double cold_ms = 0.0;         // cold plan of the mutated deployment
   double incremental_ms = 0.0;  // session replan after the delta
   double speedup = 0.0;
-  /// Knob-sweep provenance (tune::KnobSpace names): set on records that
-  /// measure one knob setting, so tooling can join sweeps against the
-  /// registry without parsing record names.
-  std::string knob;
-  double value = 0.0;
 };
 
 std::vector<SessionRecord>& records() {
@@ -59,20 +56,12 @@ void write_bench_json() {
   os << "{\n  \"benchmarks\": [\n";
   const auto& rs = records();
   for (std::size_t i = 0; i < rs.size(); ++i) {
-    char buf[384];
-    std::string knob_fields;
-    if (!rs[i].knob.empty()) {
-      char kb[128];
-      std::snprintf(kb, sizeof kb, ", \"knob\": \"%s\", \"value\": %g",
-                    rs[i].knob.c_str(), rs[i].value);
-      knob_fields = kb;
-    }
+    char buf[256];
     std::snprintf(buf, sizeof buf,
                   "    {\"name\": \"%s\", \"cold_ms\": %.3f, "
-                  "\"incremental_ms\": %.3f, \"speedup\": %.2f%s}%s\n",
+                  "\"incremental_ms\": %.3f, \"speedup\": %.2f}%s\n",
                   rs[i].name.c_str(), rs[i].cold_ms, rs[i].incremental_ms,
-                  rs[i].speedup, knob_fields.c_str(),
-                  i + 1 < rs.size() ? "," : "");
+                  rs[i].speedup, i + 1 < rs.size() ? "," : "");
     os << buf;
   }
   os << "  ]\n}\n";
@@ -86,7 +75,7 @@ Deployment grid_deployment(std::int64_t n, std::int64_t r) {
 }
 
 /// Cold plan of the session's current deployment: fresh plan_all,
-/// fresh scoped cache, fresh conflict graph.
+/// fresh scoped cache, no warm state.
 double cold_seconds(const PlanSession& session,
                     const std::vector<std::string>& backends) {
   PlanRequest request;
@@ -105,7 +94,7 @@ template <typename DeltaFor>
 SessionRecord measure(const std::string& name, PlanSession& session,
                       const std::vector<std::string>& backends, int steps,
                       DeltaFor&& delta_for) {
-  (void)session.replan();  // warm: search memoized, graph built, colors set
+  (void)session.replan();  // warm: search memoized, greedy table set
   SessionRecord record;
   record.name = name;
   record.cold_ms = 1e300;
@@ -224,54 +213,6 @@ void report() {
         "%.2fms vs session %.2fms -> %.1fx\n",
         record.cold_ms, record.incremental_ms, record.speedup);
     records().push_back(record);
-  }
-
-  // Graph-patch threshold sweep: the same medium-sized delta (an 8-sensor
-  // outage) replanned under different
-  // SessionConfig::graph_patch_dirty_denominator settings.  0 = always
-  // rebuild (the baseline the knob is judged against); the default
-  // kGraphPatchDirtyDenominator = 4 patches anything up to a quarter of
-  // the fleet.  This is the measurement behind the default.
-  {
-    bench::section("graph-patch threshold sweep (denominator knob)");
-    const std::size_t denominators[] = {0, 1, kGraphPatchDirtyDenominator, 16};
-    double rebuild_ms = 0.0;  // denominator 0 baseline
-    for (const std::size_t denom : denominators) {
-      SessionConfig config;
-      config.backends = backends;
-      config.verify = false;
-      config.graph_patch_dirty_denominator = denom;
-      PlanSession session(grid_deployment(16, 2), config);
-      const SessionRecord timed = measure(
-          std::string("grid_patch_denominator_") + std::to_string(denom),
-          session, backends, 5, [&](int step) {
-            DeploymentDelta delta;
-            for (int j = 0; j < 8; ++j) {
-              delta.remove_sensors.push_back(session.deployment().position(
-                  static_cast<std::size_t>(3 + 17 * step + 2 * j)));
-            }
-            return delta;
-          });
-      SessionRecord record = timed;
-      record.knob = "graph_patch_dirty_denominator";
-      record.value = static_cast<double>(denom);
-      if (denom == 0) rebuild_ms = timed.incremental_ms;
-      // For the sweep the interesting ratio is vs the always-rebuild
-      // mode, not vs a cold plan.
-      record.cold_ms = rebuild_ms;
-      record.speedup =
-          record.incremental_ms > 0.0 && rebuild_ms > 0.0
-              ? rebuild_ms / record.incremental_ms
-              : 0.0;
-      const PlanSession::Stats& stats = session.stats();
-      std::printf(
-          "denominator %zu: replan %.3fms (%.2fx vs rebuild), %llu "
-          "build(s), %llu patch(es)\n",
-          denom, record.incremental_ms, record.speedup,
-          static_cast<unsigned long long>(stats.graph_builds),
-          static_cast<unsigned long long>(stats.graph_patches));
-      records().push_back(record);
-    }
   }
 
   write_bench_json();

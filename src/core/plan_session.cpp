@@ -258,7 +258,6 @@ PlanSession::PlanSession(Deployment initial, SessionConfig config)
   base_.tune_trials = config.tune_trials;
   base_.tune_budget_ms = config.tune_budget_ms;
   base_.tune_family = config.tune_family;
-  patch_denominator_ = config.graph_patch_dirty_denominator;
   owned_.emplace(std::move(initial));
   deployment_ = &*owned_;
 }
@@ -466,47 +465,44 @@ void PlanSession::apply(const DeploymentDelta& delta) {
 
   // --- patch the incremental state -------------------------------------
   std::sort(dirty.begin(), dirty.end());
-  // Carry state across small deltas only: past 1/denominator of the
-  // fleet (a quarter at the default kGraphPatchDirtyDenominator) the
-  // localized rebuild probes more cells than one clean build would.  The
-  // threshold is a SessionConfig knob; bench_session sweeps it.
-  const bool small_delta = patch_denominator_ != 0 &&
-                           dirty.size() * patch_denominator_ <= next.size();
+  // Carry state across small deltas only: past a quarter of the fleet
+  // (kGraphPatchDirtyDenominator) the localized rebuild probes more
+  // cells than one clean build would.
+  const bool small_delta =
+      dirty.size() * kGraphPatchDirtyDenominator <= next.size();
   std::optional<Graph> next_graph;
   if (small_delta && graph_.has_value()) {
     next_graph = patch_conflict_graph(*graph_, next, old_to_new, dirty);
     ++stats_.graph_patches;
   }
   std::optional<PlanWarmStart> next_warm;
-  if (small_delta && warm_.has_value() &&
-      warm_->greedy_colors.size() == n_old) {
-    // Carry the greedy table onto the new ids and seed its repair with
-    // every sensor whose conflict row changed: the delta's own sensors,
-    // their old rows in the pre-delta deployment and their new rows.
-    // Seeds not yet consumed by a replan carry over too.
+  if (small_delta && warm_.has_value()) {
+    // Carry the greedy table onto the new ids and repair it from every
+    // sensor whose conflict row changed: the delta's own sensors, their
+    // old rows in the pre-delta deployment and their new rows.  Added
+    // sensors start uncolored, which seeds them too.
     PlanWarmStart& warm = next_warm.emplace();
     warm.greedy_colors.assign(next.size(), kUncolored);
-    std::vector<std::uint32_t> changed;  // old ids removed, moved or reshaped
-    for (std::size_t i = 0; i < n_old; ++i) {
+    std::vector<std::uint32_t> seeds = dirty;
+    std::vector<std::uint32_t> row;
+    const ConflictRows old_rows(d);
+    for (std::uint32_t i = 0; i < n_old; ++i) {
       if (old_to_new[i] != kRemovedSensor) {
         warm.greedy_colors[old_to_new[i]] = warm_->greedy_colors[i];
       }
-      if (removed[i] || touched[i]) {
-        changed.push_back(static_cast<std::uint32_t>(i));
+      if (!removed[i] && !touched[i]) continue;
+      old_rows.build(i, row);
+      for (std::uint32_t u : row) {
+        if (old_to_new[u] != kRemovedSensor) seeds.push_back(old_to_new[u]);
       }
     }
-    warm.dirty = dirty;
-    const auto carry = [&](std::uint32_t u) {
-      if (old_to_new[u] != kRemovedSensor) warm.dirty.push_back(old_to_new[u]);
-    };
-    for (std::uint32_t u : warm_->dirty) carry(u);
-    for (std::uint32_t u : build_conflict_block(d, changed).values) carry(u);
-    const CsrU32 new_rows = build_conflict_block(next, dirty);
-    warm.dirty.insert(warm.dirty.end(), new_rows.values.begin(),
-                      new_rows.values.end());
-    std::sort(warm.dirty.begin(), warm.dirty.end());
-    warm.dirty.erase(std::unique(warm.dirty.begin(), warm.dirty.end()),
-                     warm.dirty.end());
+    const ConflictRows new_rows(next);
+    for (std::uint32_t u : dirty) {
+      new_rows.build(u, row);
+      seeds.insert(seeds.end(), row.begin(), row.end());
+    }
+    warm.recolored = warm_->recolored +
+                     repair_greedy_table(new_rows, warm.greedy_colors, seeds);
   }
 
   // --- commit -----------------------------------------------------------
@@ -536,8 +532,9 @@ std::vector<PlanResult> PlanSession::replan() {
     request.tiling_cache = &own_cache_;
   }
 
-  // Build the conflict graph once for every coloring backend — and keep
-  // it: subsequent deltas patch it instead of rebuilding.
+  // Build the conflict graph once for the order-sensitive coloring
+  // backends — and keep it: subsequent deltas patch it instead of
+  // rebuilding.
   if (request.conflict_graph == nullptr) {
     const bool wants_graph =
         std::any_of(selected.begin(), selected.end(), [](const Planner* p) {
@@ -552,14 +549,14 @@ std::vector<PlanResult> PlanSession::replan() {
     }
   }
 
-  // Warm start: the carried fixpoint table and the sensors whose rows
-  // changed since.  greedy repairs it over the graph rows, region-greedy
-  // over streamed rows; both reproduce the cold table exactly.
-  if (warm_.has_value() &&
-      warm_->greedy_colors.size() == deployment_->size() &&
+  // Warm start: the greedy table apply() kept exact.  greedy and
+  // region-greedy both return it as is.
+  const bool warm =
+      warm_.has_value() &&
       std::any_of(selected.begin(), selected.end(), [](const Planner* p) {
         return p->wants_warm_start();
-      })) {
+      });
+  if (warm) {
     request.warm = &*warm_;
     ++stats_.warm_greedy;
   }
@@ -575,14 +572,16 @@ std::vector<PlanResult> PlanSession::replan() {
     results[i] = selected[i]->plan(request);
   });
 
-  // A warm-capable backend's table is this deployment's greedy fixpoint:
-  // it becomes the carried state and its seed list restarts empty.  When
-  // none ran, the carried table stays valid and the seeds keep
-  // accumulating across deltas.
-  for (std::size_t i = 0; i < selected.size(); ++i) {
-    if (selected[i]->wants_warm_start() && results[i].ok) {
-      warm_ = PlanWarmStart{results[i].slots.slot, {}};
-      break;
+  if (warm) {
+    warm_->recolored = 0;  // reported by this replan
+  } else {
+    // A cold greedy table is this deployment's fixpoint: it becomes the
+    // table the following deltas repair.
+    for (std::size_t i = 0; i < selected.size(); ++i) {
+      if (selected[i]->wants_warm_start() && results[i].ok) {
+        warm_ = PlanWarmStart{results[i].slots.slot, 0};
+        break;
+      }
     }
   }
   stats_.regions = std::max(stats_.regions, region_stats.regions);

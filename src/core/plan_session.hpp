@@ -11,16 +11,18 @@
 //   * torus searches stay memoized in the session's TilingCache (the
 //     tiling/mobile backends re-search only when the prototile geometry
 //     itself changed — a new cache key);
-//   * the conflict graph is patched incrementally (clean rows remapped,
-//     dirty rows rebuilt locally via the affects relation) instead of
-//     re-running build_conflict_graph;
-//   * the previous greedy fixpoint table — the slot table `greedy` and
-//     `region-greedy` both return — is the session's one warm state.
-//     apply() carries it onto the new sensor ids and seeds its repair
-//     with the changed sensors plus their old and new conflict rows
-//     (streamed by build_conflict_block, so no graph is needed); replan()
-//     hands it to both backends, which re-color only that region
-//     (incremental_greedy_coloring over graph rows or streamed rows).
+//   * the greedy fixpoint table — the slot table `greedy` and
+//     `region-greedy` both return — is the session's one warm state, and
+//     apply() keeps it exact: it carries the table onto the new sensor
+//     ids and repairs it (incremental_greedy_coloring over rows streamed
+//     from the new deployment, no graph) from the changed sensors plus
+//     their old and new conflict rows.  replan() hands it to both
+//     backends, which return it as is;
+//   * only the order-sensitive heuristics (`welsh-powell`, `dsatur`,
+//     `annealing`) and `auto` read a conflict graph.  The session builds
+//     it once when one of them is selected and patches it incrementally
+//     across deltas (clean rows remapped, dirty rows streamed again)
+//     instead of re-running build_conflict_graph.
 //
 // The session is exact, not approximate: replan() after ANY delta
 // sequence returns results identical (slots, verdict, optimality gap)
@@ -119,12 +121,13 @@ MutationTrace parse_mutation_script(const std::string& text);
 std::string mutation_trace_to_script(const MutationTrace& trace,
                                      std::size_t dim = 2);
 
-/// Default SessionConfig::graph_patch_dirty_denominator: a delta is
-/// patched incrementally (and the warm greedy table carried) while
-/// dirty <= fleet / denominator, i.e. up to a quarter of the fleet.
-/// Past that the localized rebuild probes more candidate cells than one
-/// clean build_conflict_graph would (measured by bench_session's
-/// patch-threshold sweep).
+/// Incremental-state threshold: apply() patches the conflict graph and
+/// repairs the warm greedy table while dirty * denominator <= fleet,
+/// i.e. up to a quarter of the fleet.  Past that the localized rebuild
+/// probes more candidate cells than one clean build_conflict_graph
+/// would; the graph is dropped and the next greedy / region-greedy
+/// replan runs cold.  Patched and rebuilt graphs, warm and cold tables
+/// are identical (pinned by the session property tests).
 inline constexpr std::size_t kGraphPatchDirtyDenominator = 4;
 
 struct SessionConfig {
@@ -135,20 +138,10 @@ struct SessionConfig {
   SaConfig sa;
   bool verify = true;
   std::uint32_t channels = 1;
-  /// Incremental-state threshold: apply() patches the conflict graph
-  /// and carries the warm greedy table when dirty_sensors * denominator
-  /// <= fleet_size; otherwise the graph is rebuilt and the next greedy /
-  /// region-greedy replan runs cold.  1 carries any delta up to the
-  /// whole fleet; larger values are stricter (the default 4 stops at a
-  /// quarter); 0 disables both entirely — every delta rebuilds (the A/B
-  /// baseline of bench_session's threshold sweep).  Purely a
-  /// performance knob: patched and rebuilt graphs, warm and cold tables
-  /// are identical (pinned by the session property tests).
-  std::size_t graph_patch_dirty_denominator = kGraphPatchDirtyDenominator;
   /// Spatial shard count for the region-sharded backend
   /// (PlanRequest::regions).  Only its cold plans color shards
-  /// (SessionStats::regions_replanned counts them); warm replans repair
-  /// the carried table instead.
+  /// (SessionStats::regions_replanned counts them); warm replans return
+  /// the table apply() repaired.
   std::size_t regions = 1;
   /// Ignored: no backend reads a region halo.  The field stays only
   /// because perfbench/workloads.cpp assigns it.
@@ -192,7 +185,8 @@ class PlanSession {
   PlanSession& operator=(const PlanSession&) = delete;
 
   /// Applies one delta to the deployment, patching the session's
-  /// incremental state (conflict graph, warm slot tables, index maps).
+  /// incremental state (the conflict graph when one is held, and the
+  /// greedy fixpoint table, repaired to the new deployment's).
   /// Throws std::invalid_argument on an invalid delta (unknown
   /// position, duplicate target cell, zero channels); the session is
   /// unchanged when it throws.
@@ -200,7 +194,7 @@ class PlanSession {
 
   /// Plans the current deployment on the session's backends.  Reuses
   /// the patched conflict graph, the memoized torus searches and the
-  /// carried greedy fixpoint table; the results are identical to a cold
+  /// repaired greedy fixpoint table; the results are identical to a cold
   /// plan of the current deployment.  Throws std::invalid_argument on
   /// unknown backend names.
   std::vector<PlanResult> replan();
@@ -218,11 +212,14 @@ class PlanSession {
     std::uint64_t deltas = 0;
     std::uint64_t graph_builds = 0;   ///< full build_conflict_graph runs
     std::uint64_t graph_patches = 0;  ///< incremental patches instead
-    std::uint64_t warm_greedy = 0;    ///< replans seeded with the warm table
+    std::uint64_t warm_greedy = 0;    ///< replans handed the warm table
     std::uint64_t regions = 0;            ///< largest region partition planned
     std::uint64_t regions_replanned = 0;  ///< region shards colored cold
     std::uint64_t seam_sensors = 0;       ///< seam sensors seen by stitches
-    std::uint64_t stitch_recolored = 0;   ///< vertices stitches recolored
+    /// Slots recolored by cold stitches, plus (on warm region-greedy
+    /// replans) PlanWarmStart::recolored: the slots apply()'s repairs
+    /// changed since the previous replan, summed over those deltas.
+    std::uint64_t stitch_recolored = 0;
   };
   const Stats& stats() const { return stats_; }
 
@@ -238,9 +235,6 @@ class PlanSession {
   PlanRequest base_;  ///< request template (deployment/graph/warm set per call)
   const PlannerRegistry* planners_;
   std::vector<std::string> backends_;
-  /// SessionConfig::graph_patch_dirty_denominator (0 = never patch or
-  /// carry the warm table).
-  std::size_t patch_denominator_ = kGraphPatchDirtyDenominator;
 
   std::optional<Deployment> owned_;     ///< engaged once the session mutates
   const Deployment* deployment_;        ///< current deployment (owned or borrowed)
@@ -248,14 +242,13 @@ class PlanSession {
   TilingCache own_cache_;               ///< used when no shared cache given
 
   /// Conflict graph of `deployment_`, patched across deltas; absent
-  /// until a coloring backend needs it (or after a delta too large to
-  /// patch profitably).
+  /// until an order-sensitive coloring backend needs it (or after a
+  /// delta too large to patch profitably).
   std::optional<Graph> graph_;
 
-  /// The greedy fixpoint table of the last greedy / region-greedy plan,
-  /// carried onto current sensor ids, plus the sensors whose conflict
-  /// rows changed since it was produced.  Absent until such a plan ran
-  /// (or after a delta past the patch threshold).
+  /// The exact greedy fixpoint table of `deployment_`, repaired by every
+  /// apply().  Absent until a greedy / region-greedy plan ran (or after a
+  /// delta past the patch threshold).
   std::optional<PlanWarmStart> warm_;
 
   Stats stats_;

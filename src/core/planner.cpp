@@ -104,39 +104,21 @@ class MobilePlanner final : public Planner {
   }
 };
 
+// The order-sensitive heuristics, over the shared conflict graph.
 class ColoringPlanner final : public Planner {
  public:
   explicit ColoringPlanner(ColoringHeuristic h) : heuristic_(h) {}
   std::string name() const override { return to_string(heuristic_); }
   bool wants_conflict_graph() const override { return true; }
-  bool wants_warm_start() const override {
-    // Greedy first-fit is a fixpoint of local recoloring, so it is the
-    // one heuristic a warm start can repair incrementally AND exactly;
-    // the order-sensitive heuristics re-run on the (patched) graph.
-    return heuristic_ == ColoringHeuristic::kGreedy;
-  }
 
  protected:
   Raw compute(const PlanRequest& request) const override {
-    const Deployment& d = *request.deployment;
     Raw raw;
-    if (heuristic_ == ColoringHeuristic::kGreedy &&
-        request.warm != nullptr && request.conflict_graph != nullptr &&
-        request.warm->greedy_colors.size() ==
-            request.conflict_graph->size()) {
-      // Incremental repair of the previous greedy table: only the dirty
-      // region is re-colored, and the fixpoint equals the cold result.
-      raw.slots.slot = incremental_greedy_coloring(
-          *request.conflict_graph, request.warm->greedy_colors,
-          request.warm->dirty);
-      raw.slots.period = color_count(raw.slots.slot);
-      raw.slots.source = std::string("coloring-") + to_string(heuristic_);
-    } else if (request.conflict_graph != nullptr) {
-      raw.slots = coloring_slots_on_graph(*request.conflict_graph,
-                                          heuristic_, request.sa);
-    } else {
-      raw.slots = coloring_slots(d, heuristic_, request.sa);
-    }
+    raw.slots = request.conflict_graph != nullptr
+                    ? coloring_slots_on_graph(*request.conflict_graph,
+                                              heuristic_, request.sa)
+                    : coloring_slots(*request.deployment, heuristic_,
+                                     request.sa);
     std::ostringstream os;
     os << "conflict-graph coloring (" << to_string(heuristic_) << "), "
        << raw.slots.period << " slots";
@@ -148,38 +130,57 @@ class ColoringPlanner final : public Planner {
   ColoringHeuristic heuristic_;
 };
 
-// Spatial region sharding (core/region_shard.hpp): the deployment's
-// window is partitioned into rectangular shards, each first-fit colored
-// from conflict rows streamed one at a time, and the seams stitched back to
-// the exact serial greedy fixpoint.  The one backend that plans
-// million-sensor deployments without materializing the all-pairs
-// conflict graph.  A warm start colors no shard; the stitch repairs the
-// carried table instead.
-class RegionGreedyPlanner final : public Planner {
+// First-fit in index order over conflict rows streamed one at a time
+// (no graph is materialized) serves two names: `greedy` plans the
+// deployment as one region, and `region-greedy` colors rectangular
+// shards in parallel and stitches the seams back to the serial table
+// (core/region_shard.hpp).  Warm, both return the session's table,
+// which PlanSession::apply keeps exact.
+class GreedyPlanner final : public Planner {
  public:
-  std::string name() const override { return "region-greedy"; }
+  explicit GreedyPlanner(bool sharded) : sharded_(sharded) {}
+  std::string name() const override {
+    return sharded_ ? "region-greedy" : "greedy";
+  }
   bool wants_warm_start() const override { return true; }
 
  protected:
   Raw compute(const PlanRequest& request) const override {
     const Deployment& d = *request.deployment;
+    const std::size_t regions =
+        sharded_ ? std::max<std::size_t>(request.regions, 1) : 1;
     RegionShardStats local;
-    RegionShardStats* stats =
-        request.region_stats != nullptr ? request.region_stats : &local;
-    const std::uint64_t regions_before = stats->regions;
+    RegionShardStats& stats = sharded_ && request.region_stats != nullptr
+                                  ? *request.region_stats
+                                  : local;
+    const std::uint64_t regions_before = stats.regions;
     Raw raw;
-    raw.slots.slot =
-        plan_regions(d, std::max<std::size_t>(request.regions, 1),
-                     request.warm, stats);
+    if (request.warm != nullptr &&
+        request.warm->greedy_colors.size() == d.size()) {
+      raw.slots.slot = request.warm->greedy_colors;
+      // region-greedy's detail names its shard count, as a cold plan's.
+      if (sharded_) stats.regions += partition_regions(d, regions).boxes.size();
+      stats.stitch_recolored += request.warm->recolored;
+    } else {
+      raw.slots.slot = plan_regions(d, regions, &stats);
+    }
     raw.slots.period = color_count(raw.slots.slot);
-    raw.slots.source = "region-greedy";
     std::ostringstream os;
-    os << "region-sharded greedy ("
-       << (stats->regions - regions_before) << " region(s), "
-       << raw.slots.period << " slots)";
+    if (sharded_) {
+      raw.slots.source = "region-greedy";
+      os << "region-sharded greedy (" << (stats.regions - regions_before)
+         << " region(s), " << raw.slots.period << " slots)";
+    } else {
+      raw.slots.source = "coloring-greedy";
+      os << "conflict-graph coloring (greedy), " << raw.slots.period
+         << " slots";
+    }
     raw.detail = os.str();
     return raw;
   }
+
+ private:
+  bool sharded_;
 };
 
 class TdmaPlanner final : public Planner {
@@ -348,15 +349,14 @@ PlannerRegistry& PlannerRegistry::global() {
   static PlannerRegistry* registry = [] {
     auto* r = new PlannerRegistry();
     r->register_planner(std::make_unique<TilingPlanner>());
-    r->register_planner(
-        std::make_unique<ColoringPlanner>(ColoringHeuristic::kGreedy));
+    r->register_planner(std::make_unique<GreedyPlanner>(false));
     r->register_planner(
         std::make_unique<ColoringPlanner>(ColoringHeuristic::kWelshPowell));
     r->register_planner(
         std::make_unique<ColoringPlanner>(ColoringHeuristic::kDsatur));
     r->register_planner(
         std::make_unique<ColoringPlanner>(ColoringHeuristic::kAnnealing));
-    r->register_planner(std::make_unique<RegionGreedyPlanner>());
+    r->register_planner(std::make_unique<GreedyPlanner>(true));
     r->register_planner(std::make_unique<TdmaPlanner>());
     r->register_planner(std::make_unique<MobilePlanner>());
     r->register_planner(std::make_unique<tune::AutoPlanner>());

@@ -9,13 +9,13 @@
 // through here.  Backends:
 //
 //   tiling        Theorem-1/2 constructive schedule (torus/lattice search)
-//   greedy        first-fit conflict-graph coloring
+//   greedy        first-fit conflict-graph coloring over streamed rows
+//                 (no graph is materialized)
 //   welsh-powell  first-fit by decreasing degree
 //   dsatur        Brélaz saturation coloring
 //   annealing     simulated-annealing coloring (Wang–Ansari stand-in)
-//   region-greedy spatially sharded greedy: per-region streaming conflict
-//                 blocks + seam stitching (exactly the greedy table,
-//                 without materializing the full conflict graph)
+//   region-greedy spatially sharded greedy: per-region streamed conflict
+//                 rows + seam stitching (exactly the greedy table)
 //   tdma          one slot per sensor (the paper's non-scaling foil)
 //   mobile        tiling schedule + the Conclusions' location-based rule
 //                 (2-D only; PlanResult::mobile carries the scheduler)
@@ -32,9 +32,10 @@
 // scenario sweeps re-pay only the first search).
 //
 // plan_all fans the selected backends out over the shared thread pool
-// (util/parallel.hpp) and prebuilds the conflict graph once for all
-// coloring backends; results come back in request order regardless of
-// thread count.
+// (util/parallel.hpp) and prebuilds the conflict graph once for the
+// order-sensitive coloring backends (welsh-powell, dsatur, annealing,
+// and auto, which may delegate to them); results come back in request
+// order regardless of thread count.
 #pragma once
 
 #include <cstdint>
@@ -62,20 +63,20 @@ namespace tune {
 class TuneCache;
 }  // namespace tune
 
-/// Previous-plan state a PlanSession hands back to the backends so a
-/// replan after a small deployment delta touches only the dirty region.
-/// The contract is exactness: a warm plan equals the cold plan of the
-/// same request (greedy first-fit is the unique fixpoint of
-/// c(u) = mex of lower-neighbor colors, so incremental repair converges
-/// to the cold answer — see graph/coloring.hpp).  `greedy` repairs it
-/// over graph rows and `region-greedy` over streamed rows.
+/// The warm state a PlanSession hands its backends: the exact greedy
+/// fixpoint table of the request's deployment.  PlanSession::apply keeps
+/// it exact across deltas (greedy first-fit is the unique fixpoint of
+/// c(u) = mex of lower-neighbor colors, so repairing the changed region
+/// converges to the cold answer — see graph/coloring.hpp), and `greedy`
+/// and `region-greedy` return it as is.
 struct PlanWarmStart {
-  /// Greedy slot table of the previous replan, carried onto the CURRENT
-  /// sensor ids (kUncolored for sensors without a prior slot).
+  /// Greedy slot table of the CURRENT deployment.
   std::vector<std::uint32_t> greedy_colors;
-  /// Sensor ids whose conflict rows changed since those colors — the
-  /// seeds of the incremental recoloring.
-  std::vector<std::uint32_t> dirty;
+  /// Slots the session's repairs changed since the table was last handed
+  /// to a replan.  After several deltas this is a sum over them (a slot
+  /// changed by two deltas counts twice).  region-greedy reports it as
+  /// its stitch_recolored.
+  std::uint64_t recolored = 0;
 };
 
 struct PlanRequest {
@@ -112,16 +113,15 @@ struct PlanRequest {
   /// outlive the call.
   const Lattice* lattice = nullptr;
 
-  /// Prebuilt conflict graph of `deployment` (coloring backends).  When
-  /// null, plan_all builds it once and shares it; a lone Planner::plan
-  /// call builds its own.
+  /// Prebuilt conflict graph of `deployment` (the order-sensitive
+  /// coloring backends).  When null, plan_all builds it once and shares
+  /// it; a lone Planner::plan call builds its own.
   const Graph* conflict_graph = nullptr;
 
-  /// Warm-start state from a previous plan of a slightly different
-  /// deployment (supplied by PlanSession::replan).  Backends that
-  /// declare wants_warm_start() may use it to re-plan only the dirty
-  /// region; the result MUST equal the cold plan.  Must outlive the
-  /// call.
+  /// Warm-start state kept current across deltas (supplied by
+  /// PlanSession::replan).  Backends that declare wants_warm_start() may
+  /// return its table instead of planning; the result MUST equal the
+  /// cold plan.  Must outlive the call.
   const PlanWarmStart* warm = nullptr;
 
   /// Spatial shard count for the region-sharded backend (>= 1; 1 = one
@@ -244,8 +244,8 @@ class Planner {
   virtual bool wants_conflict_graph() const { return false; }
 
   /// Whether the backend can exploit PlanRequest::warm (`greedy` and
-  /// `region-greedy` re-color only the dirty region).  Such a backend's
-  /// slot table is the greedy fixpoint, which PlanSession carries as the
+  /// `region-greedy` return its table).  Such a backend's slot table is
+  /// the greedy fixpoint, which PlanSession keeps and repairs as the
   /// next replan's warm start.
   virtual bool wants_warm_start() const { return false; }
 
@@ -292,7 +292,7 @@ class PlannerRegistry {
   /// Runs the named backends ("" or empty list = all registered backends
   /// supporting the request, in registration order) concurrently on the
   /// shared pool and returns their results in the same order.  Builds the
-  /// conflict graph once for all coloring backends when the request
+  /// conflict graph once for the backends that want it when the request
   /// doesn't carry one.  Throws std::invalid_argument on unknown names or
   /// a null deployment.  This is a thin wrapper over a single-step
   /// PlanSession (core/plan_session.hpp) — open a session instead when

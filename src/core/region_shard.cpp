@@ -1,8 +1,8 @@
 #include "core/region_shard.hpp"
 
 #include <algorithm>
+#include <numeric>
 
-#include "core/planner.hpp"
 #include "util/parallel.hpp"
 
 namespace latticesched {
@@ -15,10 +15,15 @@ RegionGrid partition_regions(const Deployment& d, std::size_t regions) {
   const std::size_t dim = d.position(0).dim();
   Point lo = d.position(0);
   Point hi = d.position(0);
-  for (const Point& p : d.positions()) {
-    for (std::size_t a = 0; a < dim; ++a) {
-      lo[a] = std::min(lo[a], p[a]);
-      hi[a] = std::max(hi[a], p[a]);
+  if (const PointIndexer* index = d.position_index()) {
+    lo = index->bounds().lo();
+    hi = index->bounds().hi();
+  } else {
+    for (const Point& p : d.positions()) {
+      for (std::size_t a = 0; a < dim; ++a) {
+        lo[a] = std::min(lo[a], p[a]);
+        hi[a] = std::max(hi[a], p[a]);
+      }
     }
   }
   const Box hull(lo, hi);
@@ -74,8 +79,13 @@ RegionGrid partition_regions(const Deployment& d, std::size_t regions) {
     grid.boxes.emplace_back(box_lo, box_hi);
   }
 
-  grid.region_of.resize(n);
+  grid.region_of.assign(n, 0);
   grid.members.resize(total);
+  if (total == 1) {
+    grid.members[0].resize(n);
+    std::iota(grid.members[0].begin(), grid.members[0].end(), 0u);
+    return grid;
+  }
   for (std::size_t i = 0; i < n; ++i) {
     const Point& p = d.position(i);
     std::size_t r = 0;
@@ -91,92 +101,78 @@ RegionGrid partition_regions(const Deployment& d, std::size_t regions) {
 }
 
 Coloring plan_regions(const Deployment& d, std::size_t regions,
-                      const PlanWarmStart* warm, RegionShardStats* stats) {
+                      RegionShardStats* stats) {
   const std::size_t n = d.size();
   Coloring colors(n, kUncolored);
   if (n == 0) return colors;
 
-  // A warm plan still partitions: the shard count is part of the
-  // backend's reported detail, and it must match the cold plan's.
   const RegionGrid grid = partition_regions(d, regions);
   const std::size_t total = grid.boxes.size();
   const ConflictRows rows(d);
 
-  // Warm plans color no shard: the carried table already holds the
-  // previous fixpoint, and the stitch below repairs it from the sensors
-  // whose rows changed (plus every uncolored one).
-  std::vector<std::uint32_t> seeds;
-  std::uint64_t seam_count = 0;
-  const bool warm_ok = warm != nullptr && warm->greedy_colors.size() == n;
-  if (warm_ok) {
-    colors = warm->greedy_colors;
-    seeds = warm->dirty;
-  } else {
-    // Phase 1: first-fit each shard independently, one streamed row at a
-    // time (intra-region edges only; no per-shard block is built).
-    // Writes touch disjoint index sets, and cross-region colors are
-    // never read, so the fan-out is race-free.
-    std::vector<char> seam(n, 0);
-    parallel_for(0, total, [&](std::size_t r) {
-      std::vector<std::uint32_t> row;
-      std::vector<bool> used;
-      for (const std::uint32_t u : grid.members[r]) {
-        rows.build(u, row);
-        used.assign(row.size() + 2, false);
-        for (std::uint32_t v : row) {
-          if (grid.region_of[v] != r) {
-            seam[u] = 1;
-            continue;
-          }
-          if (v < u && colors[v] != kUncolored && colors[v] < used.size()) {
-            used[colors[v]] = true;
-          }
+  // Phase 1: first-fit each shard independently, one streamed row at a
+  // time (intra-region edges only; no per-shard block is built).  Writes
+  // touch disjoint index sets, and cross-region colors are never read,
+  // so the fan-out is race-free.
+  std::vector<char> seam(n, 0);
+  parallel_for(0, total, [&](std::size_t r) {
+    std::vector<std::uint32_t> row;
+    std::vector<bool> used;
+    for (const std::uint32_t u : grid.members[r]) {
+      rows.build(u, row);
+      used.assign(row.size() + 2, false);
+      for (std::uint32_t v : row) {
+        if (grid.region_of[v] != r) {
+          seam[u] = 1;
+          continue;
         }
-        std::uint32_t c = 0;
-        while (used[c]) ++c;
-        colors[u] = c;
+        if (v < u && colors[v] != kUncolored && colors[v] < used.size()) {
+          used[colors[v]] = true;
+        }
       }
-    });
-    // Phase 2 seeds: every seam sensor (interior vertices already
-    // satisfy their mex equation against the local colors).
-    for (std::uint32_t u = 0; u < n; ++u) {
-      if (seam[u]) {
-        ++seam_count;
-        seeds.push_back(u);
-      }
+      std::uint32_t c = 0;
+      while (used[c]) ++c;
+      colors[u] = c;
     }
-  }
+  });
 
-  // Phase 2: stitch back to the global greedy fixpoint.  Rows are
-  // streamed lazily and memoized — only seeds and vertices reached by
-  // color propagation are ever materialized.  A cold plan without seams
-  // is the fixpoint already.
-  std::uint64_t recolored = 0;
-  if (warm_ok || !seeds.empty()) {
-    std::vector<std::vector<std::uint32_t>> memo(n);
-    std::vector<char> have(n, 0);
-    const NeighborProvider provider =
-        [&](std::uint32_t u) -> const std::vector<std::uint32_t>& {
-      if (!have[u]) {
-        rows.build(u, memo[u]);
-        have[u] = 1;
-      }
-      return memo[u];
-    };
-    const Coloring before = colors;
-    colors = incremental_greedy_coloring(n, provider, std::move(colors), seeds);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (colors[i] != before[i]) ++recolored;
-    }
+  // Phase 2: stitch back to the global greedy fixpoint from every seam
+  // sensor (interior vertices already satisfy their mex equation against
+  // the local colors).  Only seeds and vertices reached by color
+  // propagation are ever streamed; a plan without seams is the fixpoint
+  // already.
+  std::vector<std::uint32_t> seeds;
+  for (std::uint32_t u = 0; u < n; ++u) {
+    if (seam[u]) seeds.push_back(u);
   }
+  const std::uint64_t recolored =
+      seeds.empty() ? 0 : repair_greedy_table(rows, colors, seeds);
 
   if (stats != nullptr) {
     stats->regions += total;
-    if (!warm_ok) stats->regions_planned += total;
-    stats->seam_sensors += seam_count;
+    stats->regions_planned += total;
+    stats->seam_sensors += seeds.size();
     stats->stitch_recolored += recolored;
   }
   return colors;
+}
+
+std::uint64_t repair_greedy_table(const ConflictRows& rows, Coloring& colors,
+                                  const std::vector<std::uint32_t>& seeds) {
+  std::vector<std::uint32_t> row;
+  const NeighborProvider provider =
+      [&](std::uint32_t u) -> const std::vector<std::uint32_t>& {
+    rows.build(u, row);
+    return row;
+  };
+  const Coloring before = colors;
+  const std::size_t n = colors.size();
+  colors = incremental_greedy_coloring(n, provider, std::move(colors), seeds);
+  std::uint64_t changed = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (colors[i] != before[i]) ++changed;
+  }
+  return changed;
 }
 
 }  // namespace latticesched

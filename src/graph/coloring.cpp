@@ -47,17 +47,6 @@ Coloring greedy_coloring(const Graph& g) {
   return greedy_coloring(g, order);
 }
 
-Coloring incremental_greedy_coloring(
-    const Graph& g, Coloring previous,
-    const std::vector<std::uint32_t>& dirty) {
-  return incremental_greedy_coloring(
-      g.size(),
-      [&g](std::uint32_t u) -> const std::vector<std::uint32_t>& {
-        return g.neighbors(u);
-      },
-      std::move(previous), dirty);
-}
-
 Coloring incremental_greedy_coloring(std::size_t n,
                                      const NeighborProvider& neighbors,
                                      Coloring previous,

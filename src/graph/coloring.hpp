@@ -38,30 +38,27 @@ Coloring greedy_coloring(const Graph& g);
 inline constexpr std::uint32_t kUncolored =
     std::numeric_limits<std::uint32_t>::max();
 
-/// Incrementally repairs a natural-order greedy coloring after local
-/// graph edits.  `previous` is the greedy coloring of an earlier graph
-/// carried onto g's vertex ids (kUncolored for vertices without a prior
-/// color); `dirty` lists every vertex whose neighbor row changed.
-/// Greedy first-fit is the unique fixpoint of c(u) = mex{c(j) : j < u,
-/// j ~ u}, so re-evaluating dirty vertices in ascending order and
-/// propagating color changes upward reproduces greedy_coloring(g)
-/// exactly while only touching the changed region.  Reads g's rows
-/// through the row-provider overload below.
-Coloring incremental_greedy_coloring(const Graph& g, Coloring previous,
-                                     const std::vector<std::uint32_t>& dirty);
-
 /// Callback that yields the sorted neighbor row of a vertex.  The
-/// reference must stay valid until the next invocation (callers memoize
-/// rows, so repeated requests for the same vertex are cheap).
+/// reference must stay valid until the next invocation.
+/// incremental_greedy_coloring asks for each row at most once, so one
+/// row buffer refilled per call is all a provider needs.
 using NeighborProvider =
     std::function<const std::vector<std::uint32_t>&(std::uint32_t)>;
 
-/// The fixpoint repair itself, with neighbor rows supplied lazily by
-/// `neighbors` instead of a materialized adjacency — the region-sharded
-/// planner stitches seams and repairs warm tables of million-vertex
-/// conflict graphs without ever holding the full edge set.  Rows are
-/// only requested for dirty vertices and vertices reached by color
-/// propagation.
+/// Incrementally repairs a natural-order greedy coloring of an n-vertex
+/// graph after local edits.  `previous` is the greedy coloring of an
+/// earlier graph carried onto the current vertex ids (kUncolored for
+/// vertices without a prior color); `dirty` lists every vertex whose
+/// neighbor row changed.  Greedy first-fit is the unique fixpoint of
+/// c(u) = mex{c(j) : j < u, j ~ u}, so re-evaluating dirty vertices in
+/// ascending order and propagating color changes upward reproduces the
+/// cold greedy coloring exactly while only touching the changed region.
+/// Rows come lazily from `neighbors`, never from a materialized
+/// adjacency: PlanSession repairs its table and the region-sharded
+/// planner stitches seams of million-vertex conflict graphs without
+/// holding the edge set.  Vertices are re-evaluated in strictly
+/// ascending order, each at most once, so only dirty vertices and
+/// vertices reached by color propagation have their row requested, once.
 Coloring incremental_greedy_coloring(std::size_t n,
                                      const NeighborProvider& neighbors,
                                      Coloring previous,

@@ -217,6 +217,7 @@ std::int64_t interference_reach(const Deployment& d) {
 
 ConflictRows::ConflictRows(const Deployment& d)
     : d_(d), index_(d.position_index()), by_type_(d.prototiles().size()) {
+  const std::vector<Prototile>& protos = d.prototiles();
   for (std::uint32_t t = 0; t < by_type_.size(); ++t) {
     Probe& probe = by_type_[t];
     for (const Point& off : conflict_candidate_offsets(d, t)) {
@@ -224,6 +225,20 @@ ConflictRows::ConflictRows(const Deployment& d)
       probe.offsets.push_back(off);
       probe.reach = std::max(probe.reach, off.norm_inf());
       if (index_ != nullptr) probe.disp.push_back(index_->displacement(off));
+    }
+    if (protos.size() == 1) continue;
+    // A type-s partner at offset a - b (a in N_t, b in N_s) conflicts.
+    const PointVec& offs = probe.offsets;
+    probe.hits.assign(protos.size() * offs.size(), 0);
+    for (std::size_t s = 0; s < protos.size(); ++s) {
+      for (const Point& a : protos[t].points()) {
+        for (const Point& b : protos[s].points()) {
+          const auto k = std::lower_bound(offs.begin(), offs.end(), a - b);
+          if (k != offs.end() && *k == a - b) {
+            probe.hits[s * offs.size() + (k - offs.begin())] = 1;
+          }
+        }
+      }
     }
   }
 }
@@ -240,9 +255,10 @@ void ConflictRows::build(std::uint32_t u,
                index_->bounds().hi()[a] - pos[a] >= probe.reach;
   }
   const std::int64_t cell = interior ? index_->linear_of(u) : 0;
-  row.resize(probe.offsets.size());
+  const std::size_t k_max = probe.offsets.size();
+  row.resize(k_max);
   std::size_t n = 0;
-  for (std::size_t k = 0; k < probe.offsets.size(); ++k) {
+  for (std::size_t k = 0; k < k_max; ++k) {
     std::uint32_t v = PointIndexer::kInvalid;
     if (interior) {
       v = index_->id_at(static_cast<std::uint64_t>(cell + probe.disp[k]));
@@ -251,17 +267,14 @@ void ConflictRows::build(std::uint32_t u,
     } else if (const auto hit = d_.sensor_at(pos + probe.offsets[k])) {
       v = static_cast<std::uint32_t>(*hit);
     }
-    if (v != PointIndexer::kInvalid) row[n++] = v;
+    // With several prototiles the offset may come from another type's
+    // prototile than v's; the hit table says whether v's does.
+    if (v != PointIndexer::kInvalid &&
+        (probe.hits.empty() || probe.hits[d_.type_of(v) * k_max + k])) {
+      row[n++] = v;
+    }
   }
   row.resize(n);
-  // Single prototile: a candidate-offset hit is a conflict by
-  // construction.  Otherwise the offset may come from another type's
-  // prototile than v's, so confirm the pair.
-  if (by_type_.size() > 1) {
-    std::erase_if(row, [&](std::uint32_t v) {
-      return !sensors_conflict(d_, u, v);
-    });
-  }
   // Canonical offsets on a row-major fleet already give ascending ids.
   if (!std::is_sorted(row.begin(), row.end())) {
     std::sort(row.begin(), row.end());

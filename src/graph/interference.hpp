@@ -129,11 +129,14 @@ std::int64_t interference_reach(const Deployment& d);
 
 /// The one conflict-row streamer.  Per prototile it keeps the nonzero
 /// candidate offsets in canonical order, their linear displacements in
-/// the deployment's position index and their Chebyshev reach.  An
-/// interior sensor (every candidate inside the position hull) reads its
-/// partners as id_at(cell + displacement) with no bounds check; boundary
-/// sensors probe position + offset checked, and scattered deployments
-/// hash.  Immutable after construction, so threads may share one.
+/// the deployment's position index and their Chebyshev reach; with
+/// several prototiles also, per partner type, which of those offsets
+/// conflict, so every row is exact without a sensors_conflict merge.
+/// An interior sensor (every candidate inside the position hull) reads
+/// its partners as id_at(cell + displacement) with no bounds check;
+/// boundary sensors probe position + offset checked, and scattered
+/// deployments hash.  Immutable after construction, so threads may
+/// share one.
 class ConflictRows {
  public:
   explicit ConflictRows(const Deployment& d);
@@ -146,6 +149,10 @@ class ConflictRows {
   struct Probe {
     PointVec offsets;                ///< canonical order, zero excluded
     std::vector<std::int64_t> disp;  ///< per offset; empty when hashed
+    /// Several prototiles only: hits[s * offsets.size() + k] is set iff
+    /// a type-s sensor at offsets[k] conflicts, i.e. offsets[k] lies in
+    /// N_type - N_s.  Empty with one prototile, where every hit does.
+    std::vector<char> hits;
     std::int64_t reach = 0;          ///< max l-inf norm of the offsets
   };
   const Deployment& d_;

@@ -63,8 +63,6 @@ const KnobSpace& KnobSpace::global() {
       // Session-level knobs: declared (serialized, listed, benched) but
       // applied by PlanSession across replans, not per plan request —
       // the tuner holds them at their defaults during a search.
-      {"", "graph_patch_dirty_denominator", 0.0, 0.0, 64.0, 4.0, true,
-       "incremental-graph rebuild threshold (0 = library default)"},
       {"", "threads", 0.0, 0.0, 64.0, 2.0, true,
        "shared pool width (0 = hardware concurrency)"},
   });

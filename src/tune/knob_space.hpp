@@ -1,8 +1,8 @@
 // Declarative knob space of the auto-tuning subsystem.
 //
 // The planner's configuration surface — backend choice × torus search
-// budget × annealing schedule × region sharding × session-level
-// incremental-replan knobs — is a product of per-backend subspaces.
+// budget × annealing schedule × region sharding × the session-level
+// pool width — is a product of per-backend subspaces.
 // KnobSpace is the one registry describing that product: every tunable
 // knob with its owning backend, default, range and hill-climb stride,
 // so the tuner (tune/tuner.hpp), the driver's `--list-backends` output

@@ -173,18 +173,28 @@ Graph random_graph(Rng& rng, std::size_t n, std::uint64_t edge_pct) {
   return g;
 }
 
+/// The repair with g's rows as the provider.
+Coloring repair_on_graph(const Graph& g, Coloring previous,
+                         const std::vector<std::uint32_t>& dirty) {
+  return incremental_greedy_coloring(
+      g.size(),
+      [&g](std::uint32_t u) -> const std::vector<std::uint32_t>& {
+        return g.neighbors(u);
+      },
+      std::move(previous), dirty);
+}
+
 TEST(IncrementalGreedy, NoDirtyVerticesIsTheIdentity) {
   Rng rng(5);
   const Graph g = random_graph(rng, 40, 20);
   const Coloring base = greedy_coloring(g);
-  EXPECT_EQ(incremental_greedy_coloring(g, base, {}), base);
+  EXPECT_EQ(repair_on_graph(g, base, {}), base);
 }
 
 TEST(IncrementalGreedy, AllUncoloredReproducesGreedyFromScratch) {
   Rng rng(6);
   const Graph g = random_graph(rng, 50, 15);
-  EXPECT_EQ(incremental_greedy_coloring(
-                g, Coloring(g.size(), kUncolored), {}),
+  EXPECT_EQ(repair_on_graph(g, Coloring(g.size(), kUncolored), {}),
             greedy_coloring(g));
 }
 
@@ -207,17 +217,55 @@ TEST(IncrementalGreedy, RepairsEditedGraphsExactly) {
       dirty.push_back(u);
       dirty.push_back(v);
     }
-    EXPECT_EQ(incremental_greedy_coloring(g, before, dirty),
-              greedy_coloring(g))
+    EXPECT_EQ(repair_on_graph(g, before, dirty), greedy_coloring(g))
         << "round " << round;
+  }
+}
+
+TEST(IncrementalGreedy, RequestsEachRowAtMostOnce) {
+  // Vertices are re-evaluated in strictly ascending order, so a provider
+  // with one row buffer never sees a vertex twice — from a few dirty
+  // seeds or with every vertex uncolored.
+  Rng rng(8);
+  for (int round = 0; round < 20; ++round) {
+    const std::size_t n = 20 + rng.next_below(40);
+    Graph g = random_graph(rng, n, 10 + rng.next_below(30));
+    const Coloring before = greedy_coloring(g);
+    std::vector<std::uint32_t> dirty;
+    for (int edits = 0; edits < 4; ++edits) {
+      const auto u = static_cast<std::uint32_t>(rng.next_below(n));
+      const auto v = static_cast<std::uint32_t>(rng.next_below(n));
+      if (u == v || g.has_edge(u, v)) continue;
+      g.add_edge(u, v);
+      dirty.push_back(u);
+      dirty.push_back(v);
+    }
+    for (const bool uncolored : {false, true}) {
+      std::vector<std::uint32_t> calls(n, 0);
+      std::vector<std::uint32_t> row;
+      const NeighborProvider provider =
+          [&](std::uint32_t u) -> const std::vector<std::uint32_t>& {
+        ++calls[u];
+        row = g.neighbors(u);
+        return row;
+      };
+      const Coloring repaired = incremental_greedy_coloring(
+          n, provider, uncolored ? Coloring(n, kUncolored) : before,
+          uncolored ? std::vector<std::uint32_t>{} : dirty);
+      EXPECT_EQ(repaired, greedy_coloring(g)) << "round " << round;
+      for (std::uint32_t u = 0; u < n; ++u) {
+        EXPECT_LE(calls[u], 1u) << "round " << round << " vertex " << u;
+        if (uncolored) EXPECT_EQ(calls[u], 1u) << "vertex " << u;
+      }
+    }
   }
 }
 
 TEST(IncrementalGreedy, ValidatesItsInputs) {
   const Graph g(4);
-  EXPECT_THROW(incremental_greedy_coloring(g, Coloring(3, 0), {}),
+  EXPECT_THROW(repair_on_graph(g, Coloring(3, 0), {}),
                std::invalid_argument);
-  EXPECT_THROW(incremental_greedy_coloring(g, Coloring(4, 0), {9}),
+  EXPECT_THROW(repair_on_graph(g, Coloring(4, 0), {9}),
                std::invalid_argument);
 }
 

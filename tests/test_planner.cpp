@@ -134,6 +134,22 @@ TEST(Planner, SharedConflictGraphMatchesPerBackendBuild) {
   EXPECT_EQ(all[0].slots.period, lone_greedy.slots.period);
 }
 
+TEST(Planner, GreedyRowsNameTheirSourceAndSlotCount) {
+  // One engine serves both names; each keeps its own row text.
+  const Deployment d =
+      Deployment::grid(Box::cube(2, 0, 5), shapes::chebyshev_ball(2, 1));
+  PlanRequest request;
+  request.deployment = &d;
+  const std::vector<PlanResult> results =
+      PlannerRegistry::global().plan_all(request, {"greedy", "region-greedy"});
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].slots.source, "coloring-greedy");
+  EXPECT_EQ(results[0].detail, "conflict-graph coloring (greedy), 9 slots");
+  EXPECT_EQ(results[1].slots.source, "region-greedy");
+  EXPECT_EQ(results[1].detail, "region-sharded greedy (1 region(s), 9 slots)");
+  EXPECT_EQ(results[0].slots.slot, results[1].slots.slot);
+}
+
 TEST(Planner, ParseBackendList) {
   EXPECT_TRUE(parse_backend_list("").empty());
   EXPECT_TRUE(parse_backend_list("all").empty());

@@ -49,22 +49,38 @@ Coloring serial_greedy(const Deployment& d) {
   return greedy_coloring(build_conflict_graph(d));
 }
 
+/// Seeded scatter over a hull far past the dense index's cap, so
+/// positions are hashed.
+Deployment hashed_scatter(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  PointVec cells;
+  for (std::size_t i = 0; i < n; ++i) {
+    cells.push_back(Point{static_cast<std::int64_t>(i) * 100'003,
+                          static_cast<std::int64_t>(rng.next_below(1000))});
+  }
+  rng.shuffle(cells);
+  return Deployment::uniform(std::move(cells), shapes::chebyshev_ball(2, 1));
+}
+
 TEST(RegionShard, PartitionCoversEverySensorExactlyOnce) {
-  const Deployment d = grid_deployment(13);
-  for (const std::size_t regions : {1, 3, 4, 9, 50}) {
-    const RegionGrid grid = partition_regions(d, regions);
-    ASSERT_EQ(grid.region_of.size(), d.size());
-    std::size_t total = 0;
-    for (std::size_t r = 0; r < grid.members.size(); ++r) {
-      for (std::uint32_t u : grid.members[r]) {
-        EXPECT_EQ(grid.region_of[u], r);
-        EXPECT_TRUE(grid.boxes[r].contains(d.position(u)));
+  const Deployment scatter = hashed_scatter(60, 5);
+  ASSERT_EQ(scatter.position_index(), nullptr);
+  for (const Deployment& d : {grid_deployment(13), scatter}) {
+    for (const std::size_t regions : {1, 3, 4, 9, 50}) {
+      const RegionGrid grid = partition_regions(d, regions);
+      ASSERT_EQ(grid.region_of.size(), d.size());
+      std::size_t total = 0;
+      for (std::size_t r = 0; r < grid.members.size(); ++r) {
+        for (std::uint32_t u : grid.members[r]) {
+          EXPECT_EQ(grid.region_of[u], r);
+          EXPECT_TRUE(grid.boxes[r].contains(d.position(u)));
+        }
+        EXPECT_TRUE(std::is_sorted(grid.members[r].begin(),
+                                   grid.members[r].end()));
+        total += grid.members[r].size();
       }
-      EXPECT_TRUE(std::is_sorted(grid.members[r].begin(),
-                                 grid.members[r].end()));
-      total += grid.members[r].size();
+      EXPECT_EQ(total, d.size());
     }
-    EXPECT_EQ(total, d.size());
   }
 }
 
@@ -95,7 +111,7 @@ TEST(RegionShard, ColdPlanIdenticalToSerialGreedy) {
       for (const std::size_t regions : {1, 2, 4, 9}) {
         RegionShardStats stats;
         const Coloring sharded =
-            plan_regions(d, regions, nullptr, &stats);
+            plan_regions(d, regions, &stats);
         EXPECT_EQ(sharded, serial)
             << "n=" << n << " r=" << r << " regions=" << regions;
         EXPECT_EQ(stats.regions, stats.regions_planned);
@@ -109,7 +125,7 @@ TEST(RegionShard, ColdPlanIdenticalOnMixedPrototiles) {
     const Deployment d = mixed_scatter(12, seed);
     const Coloring serial = serial_greedy(d);
     for (const std::size_t regions : {3, 6}) {
-      EXPECT_EQ(plan_regions(d, regions, nullptr, nullptr), serial)
+      EXPECT_EQ(plan_regions(d, regions, nullptr), serial)
           << "seed=" << seed << " regions=" << regions;
     }
   }
@@ -121,7 +137,7 @@ TEST(RegionShard, StitchedPlanIsAlwaysProper) {
     const Graph g = build_conflict_graph(d);
     for (const std::size_t regions : {2, 5, 8}) {
       EXPECT_TRUE(is_proper_coloring(
-          g, plan_regions(d, regions, nullptr, nullptr)))
+          g, plan_regions(d, regions, nullptr)))
           << "seed=" << seed << " regions=" << regions;
     }
   }
@@ -205,54 +221,124 @@ TEST(RegionShard, WarmRegionReplanRecolorsOnlyChangedSlots) {
   EXPECT_EQ(warm, serial_greedy(session.deployment()));
 }
 
-TEST(RegionShard, RandomChurnKeepsWarmAndColdIdentical) {
-  // A region-only session: its warm table is carried and seeded without
-  // any conflict graph, through removals, additions, moves and radius
-  // changes.
-  Rng rng(11);
+/// Slots of `after` that differ from `before` once `removed` is erased.
+std::uint64_t slots_changed(Coloring before, std::size_t removed,
+                            const Coloring& after) {
+  before.erase(before.begin() + static_cast<std::ptrdiff_t>(removed));
+  std::uint64_t changed = 0;
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    if (before[i] != after[i]) ++changed;
+  }
+  return changed;
+}
+
+TEST(RegionShard, WarmRecolorCountSumsTheRepairsSinceTheLastReplan) {
   SessionConfig config;
   config.backends = {"region-greedy"};
-  config.regions = 6;
-  PlanSession session(grid_deployment(12), config);
+  config.regions = 4;
+  PlanSession session(grid_deployment(16), config);
   (void)session.replan();
-  const std::uint64_t cold_shards = session.stats().regions_replanned;
-  std::int64_t spare_row = 12;
-  const auto random_position = [&] {
-    return session.deployment().position(
-        rng.next_below(session.deployment().size()));
-  };
-  for (int step = 0; step < 8; ++step) {
+  const auto remove = [&](const Point& p) {
+    const std::size_t victim = *session.deployment().sensor_at(p);
     DeploymentDelta delta;
-    switch (step % 4) {
-      case 0:
-        delta.remove_sensors = {random_position()};
-        break;
-      case 1:
-        delta.add_sensors.push_back(DeploymentDelta::SensorAdd{
-            Point{spare_row++, static_cast<std::int64_t>(step)},
-            std::nullopt});
-        break;
-      case 2:
-        delta.move_sensors.push_back(DeploymentDelta::SensorMove{
-            random_position(),
-            Point{spare_row++, static_cast<std::int64_t>(step)}});
-        break;
-      default: {
-        DeploymentDelta::RadiusChange rc;
-        rc.sensors = {random_position()};
-        rc.radius = 2;
-        delta.set_radius.push_back(std::move(rc));
-      }
-    }
+    delta.remove_sensors = {p};
     session.apply(delta);
-    const std::vector<PlanResult> results = session.replan();
-    ASSERT_TRUE(results[0].ok) << "step " << step << ": " << results[0].error;
-    EXPECT_EQ(results[0].slots.slot, serial_greedy(session.deployment()))
-        << "step " << step;
+    return victim;
+  };
+
+  // One delta per replan: each replan reports its own delta's repair.
+  (void)remove(Point{1, 1});
+  const Coloring first = session.replan()[0].slots.slot;
+  const std::uint64_t recolored_first = session.stats().stitch_recolored;
+  const std::size_t second_victim = remove(Point{9, 12});
+  const Coloring second = session.replan()[0].slots.slot;
+  const std::uint64_t second_changed =
+      slots_changed(first, second_victim, second);
+  EXPECT_GT(second_changed, 0u);
+  EXPECT_EQ(session.stats().stitch_recolored - recolored_first,
+            second_changed);
+
+  // Two deltas, then one replan: the report is the sum of both repairs.
+  const std::uint64_t recolored_second = session.stats().stitch_recolored;
+  const std::size_t third_victim = remove(Point{4, 7});
+  const Coloring third = serial_greedy(session.deployment());
+  const std::size_t fourth_victim = remove(Point{5, 7});
+  const Coloring fourth = session.replan()[0].slots.slot;
+  EXPECT_EQ(session.stats().stitch_recolored - recolored_second,
+            slots_changed(second, third_victim, third) +
+                slots_changed(third, fourth_victim, fourth));
+}
+
+TEST(RegionShard, RandomChurnKeepsWarmAndColdIdentical) {
+  // Sessions of greedy backends only: their warm table is carried and
+  // repaired without any conflict graph, through removals, additions,
+  // moves and radius changes, on a one-prototile grid and on a grid with
+  // every third column at radius 2.
+  PointVec cells = Box::cube(2, 0, 15).points();
+  std::vector<std::uint32_t> types;
+  for (const Point& p : cells) types.push_back(p[1] % 3 == 0 ? 1 : 0);
+  const Deployment mixed = Deployment::assemble(
+      std::move(cells), std::move(types),
+      {shapes::chebyshev_ball(2, 1), shapes::chebyshev_ball(2, 2)});
+  for (const std::vector<std::string>& backends :
+       {std::vector<std::string>{"region-greedy"},
+        std::vector<std::string>{"greedy", "region-greedy"}}) {
+    for (const Deployment* initial : {static_cast<const Deployment*>(nullptr),
+                                      &mixed}) {
+      const std::string what = std::to_string(backends.size()) +
+                               " backend(s), " +
+                               (initial != nullptr ? "mixed" : "12x12");
+      Rng rng(11);
+      SessionConfig config;
+      config.backends = backends;
+      config.regions = 6;
+      PlanSession session(initial != nullptr ? *initial : grid_deployment(12),
+                          config);
+      (void)session.replan();
+      const std::uint64_t cold_shards = session.stats().regions_replanned;
+      std::int64_t spare_row = initial != nullptr ? 16 : 12;
+      const auto random_position = [&] {
+        return session.deployment().position(
+            rng.next_below(session.deployment().size()));
+      };
+      for (int step = 0; step < 8; ++step) {
+        DeploymentDelta delta;
+        switch (step % 4) {
+          case 0:
+            delta.remove_sensors = {random_position()};
+            break;
+          case 1:
+            delta.add_sensors.push_back(DeploymentDelta::SensorAdd{
+                Point{spare_row++, static_cast<std::int64_t>(step)},
+                std::nullopt});
+            break;
+          case 2:
+            delta.move_sensors.push_back(DeploymentDelta::SensorMove{
+                random_position(),
+                Point{spare_row++, static_cast<std::int64_t>(step)}});
+            break;
+          default: {
+            DeploymentDelta::RadiusChange rc;
+            rc.sensors = {random_position()};
+            rc.radius = 2;
+            delta.set_radius.push_back(std::move(rc));
+          }
+        }
+        session.apply(delta);
+        const std::vector<PlanResult> results = session.replan();
+        ASSERT_EQ(results.size(), backends.size()) << what;
+        for (const PlanResult& result : results) {
+          ASSERT_TRUE(result.ok) << what << " step " << step << ": "
+                                 << result.error;
+          EXPECT_EQ(result.slots.slot, serial_greedy(session.deployment()))
+              << what << " step " << step << " " << result.backend;
+        }
+      }
+      EXPECT_EQ(session.stats().graph_builds, 0u) << what;
+      EXPECT_EQ(session.stats().warm_greedy, 8u) << what;
+      EXPECT_EQ(session.stats().regions_replanned, cold_shards) << what;
+    }
   }
-  EXPECT_EQ(session.stats().graph_builds, 0u);
-  EXPECT_EQ(session.stats().warm_greedy, 8u);
-  EXPECT_EQ(session.stats().regions_replanned, cold_shards);
 }
 
 TEST(RegionShard, GridLargeScenarioGeneratesLinearly) {
