@@ -5,7 +5,7 @@
 // materialized all-pairs conflict graph stops being an option:
 //
 //  1. region x thread sweep on a mid-size grid: the region-greedy
-//     backend (streaming per-region conflict blocks + seam stitch)
+//     backend (conflict rows streamed per region + seam stitch)
 //     against the unsharded greedy backend (full conflict graph), at
 //     1 thread and at the pool default.  Acceptance target: >= 2x at
 //     >= 4 regions on multicore.  On a 1-vCPU container the region
@@ -13,7 +13,7 @@
 //     expected, and why the records carry a `threads` column.
 //  2. stitch-cost sweep: seam sensors and stitch recolors as a function
 //     of region count at fixed fleet size (finer partitions = more
-//     seam, cheaper blocks).
+//     seam, cheaper shards).
 //  3. the headline: a 1,000,000-sensor grid planned end-to-end by the
 //     region path, with the peak-RSS column recording the memory
 //     ceiling the run actually hit.
@@ -236,16 +236,22 @@ void BM_RegionPlan20k(benchmark::State& state) {
 }
 BENCHMARK(BM_RegionPlan20k)->Arg(1)->Arg(4)->Arg(16);
 
-void BM_ConflictBlock(benchmark::State& state) {
+void BM_ConflictRowsByRegion(benchmark::State& state) {
   static const Deployment* d = new Deployment(large_grid(20000));
   static const RegionGrid* grid = new RegionGrid(partition_regions(*d, 16));
+  const ConflictRows rows(*d);
+  std::vector<std::uint32_t> row;
   for (auto _ : state) {
     for (const auto& members : grid->members) {
-      benchmark::DoNotOptimize(build_conflict_block(*d, members));
+      for (const std::uint32_t u : members) {
+        rows.build(u, row);
+        benchmark::DoNotOptimize(row.data());
+      }
     }
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_ConflictBlock);
+BENCHMARK(BM_ConflictRowsByRegion);
 
 }  // namespace
 }  // namespace latticesched

@@ -99,9 +99,10 @@ BatchItem warm_item() {
 }
 
 /// Cycle `i`'s mutation: sensor (0, 0) oscillates out of and back into
-/// the fleet, so every replan follows a real graph patch.  The server
-/// shifts `step 1` past the session's last step, so the same script
-/// works every cycle.
+/// the fleet, so every replan follows a real greedy-table repair (the
+/// greedy-only session holds no conflict graph).  The server shifts
+/// `step 1` past the session's last step, so the same script works every
+/// cycle.
 std::string cycle_script(int i) {
   return i % 2 == 0 ? std::string("step 1\nremove 0 0\n")
                     : std::string("step 1\nadd 0 0 r 1\n");

@@ -242,6 +242,13 @@ std::string mutation_trace_to_script(const MutationTrace& trace,
 // PlanSession
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Marks a removed sensor in apply()'s old-to-new id map.
+constexpr std::uint32_t kRemovedSensor = 0xffffffffu;
+
+}  // namespace
+
 PlanSession::PlanSession(Deployment initial, SessionConfig config)
     : planners_(config.planners != nullptr ? config.planners
                                            : &PlannerRegistry::global()),
@@ -422,7 +429,8 @@ void PlanSession::apply(const DeploymentDelta& delta) {
   new_pos.reserve(n_old + adds.size());
   new_type.reserve(n_old + adds.size());
   std::vector<std::uint32_t> old_to_new(n_old, kRemovedSensor);
-  std::vector<std::uint32_t> dirty;  // new ids whose conflict rows rebuild
+  // New ids of moved, reshaped and added sensors, ascending.
+  std::vector<std::uint32_t> dirty;
   for (std::size_t i = 0; i < n_old; ++i) {
     if (removed[i]) continue;
     old_to_new[i] = static_cast<std::uint32_t>(new_pos.size());
@@ -463,20 +471,13 @@ void PlanSession::apply(const DeploymentDelta& delta) {
                                          std::move(new_type),
                                          std::move(new_protos));
 
-  // --- patch the incremental state -------------------------------------
-  std::sort(dirty.begin(), dirty.end());
-  // Carry state across small deltas only: past a quarter of the fleet
-  // (kGraphPatchDirtyDenominator) the localized rebuild probes more
-  // cells than one clean build would.
-  const bool small_delta =
-      dirty.size() * kGraphPatchDirtyDenominator <= next.size();
-  std::optional<Graph> next_graph;
-  if (small_delta && graph_.has_value()) {
-    next_graph = patch_conflict_graph(*graph_, next, old_to_new, dirty);
-    ++stats_.graph_patches;
-  }
+  // --- repair the greedy table ----------------------------------------
+  // Carry it across small deltas only: past a quarter of the fleet
+  // (kWarmRepairDirtyDenominator) the seed rows probe more cells than
+  // one cold plan would.
   std::optional<PlanWarmStart> next_warm;
-  if (small_delta && warm_.has_value()) {
+  if (dirty.size() * kWarmRepairDirtyDenominator <= next.size() &&
+      warm_.has_value()) {
     // Carry the greedy table onto the new ids and repair it from every
     // sensor whose conflict row changed: the delta's own sensors, their
     // old rows in the pre-delta deployment and their new rows.  Added
@@ -508,12 +509,12 @@ void PlanSession::apply(const DeploymentDelta& delta) {
   // --- commit -----------------------------------------------------------
   owned_.emplace(std::move(next));
   deployment_ = &*owned_;
-  graph_ = std::move(next_graph);
+  graph_.reset();
   warm_ = std::move(next_warm);
   if (delta.set_channels.has_value()) base_.channels = *delta.set_channels;
   // A delta invalidates the scenario-supplied tiling and any borrowed
-  // one-shot conflict graph; the memoized search / patched graph take
-  // over from here.
+  // one-shot conflict graph; the memoized search and the next replan's
+  // graph take over from here.
   base_.tiling = nullptr;
   base_.conflict_graph = nullptr;
   ++stats_.deltas;
@@ -533,8 +534,7 @@ std::vector<PlanResult> PlanSession::replan() {
   }
 
   // Build the conflict graph once for the order-sensitive coloring
-  // backends — and keep it: subsequent deltas patch it instead of
-  // rebuilding.
+  // backends and keep it for later replans; the next apply() drops it.
   if (request.conflict_graph == nullptr) {
     const bool wants_graph =
         std::any_of(selected.begin(), selected.end(), [](const Planner* p) {

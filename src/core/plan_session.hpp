@@ -19,10 +19,11 @@
 //     their old and new conflict rows.  replan() hands it to both
 //     backends, which return it as is;
 //   * only the order-sensitive heuristics (`welsh-powell`, `dsatur`,
-//     `annealing`) and `auto` read a conflict graph.  The session builds
-//     it once when one of them is selected and patches it incrementally
-//     across deltas (clean rows remapped, dirty rows streamed again)
-//     instead of re-running build_conflict_graph.
+//     `annealing`) and `auto` read a conflict graph.  replan() builds it
+//     with build_conflict_graph when one of them is selected and keeps it
+//     for later replans; the next apply() drops it.  Patching it instead
+//     would still allocate and re-validate every row, as the full build
+//     does, and save only the streaming of the unchanged rows.
 //
 // The session is exact, not approximate: replan() after ANY delta
 // sequence returns results identical (slots, verdict, optimality gap)
@@ -121,14 +122,13 @@ MutationTrace parse_mutation_script(const std::string& text);
 std::string mutation_trace_to_script(const MutationTrace& trace,
                                      std::size_t dim = 2);
 
-/// Incremental-state threshold: apply() patches the conflict graph and
-/// repairs the warm greedy table while dirty * denominator <= fleet,
-/// i.e. up to a quarter of the fleet.  Past that the localized rebuild
-/// probes more candidate cells than one clean build_conflict_graph
-/// would; the graph is dropped and the next greedy / region-greedy
-/// replan runs cold.  Patched and rebuilt graphs, warm and cold tables
-/// are identical (pinned by the session property tests).
-inline constexpr std::size_t kGraphPatchDirtyDenominator = 4;
+/// Warm-repair threshold: apply() repairs the greedy fixpoint table
+/// while dirty * denominator <= fleet, i.e. up to a quarter of the
+/// fleet.  Past that the repair's seed rows probe more candidate cells
+/// than one cold greedy plan would; the table is dropped and the next
+/// greedy / region-greedy replan runs cold.  Warm and cold tables are
+/// identical (pinned by the session property tests).
+inline constexpr std::size_t kWarmRepairDirtyDenominator = 4;
 
 struct SessionConfig {
   /// Backend names; empty = every registered backend supporting the
@@ -184,19 +184,18 @@ class PlanSession {
   PlanSession(const PlanSession&) = delete;
   PlanSession& operator=(const PlanSession&) = delete;
 
-  /// Applies one delta to the deployment, patching the session's
-  /// incremental state (the conflict graph when one is held, and the
-  /// greedy fixpoint table, repaired to the new deployment's).
+  /// Applies one delta to the deployment and repairs the greedy fixpoint
+  /// table to the new deployment's; a held conflict graph is dropped.
   /// Throws std::invalid_argument on an invalid delta (unknown
   /// position, duplicate target cell, zero channels); the session is
   /// unchanged when it throws.
   void apply(const DeploymentDelta& delta);
 
   /// Plans the current deployment on the session's backends.  Reuses
-  /// the patched conflict graph, the memoized torus searches and the
-  /// repaired greedy fixpoint table; the results are identical to a cold
-  /// plan of the current deployment.  Throws std::invalid_argument on
-  /// unknown backend names.
+  /// the conflict graph of an earlier replan since the last delta, the
+  /// memoized torus searches and the repaired greedy fixpoint table;
+  /// the results are identical to a cold plan of the current
+  /// deployment.  Throws std::invalid_argument on unknown backend names.
   std::vector<PlanResult> replan();
 
   const Deployment& deployment() const { return *deployment_; }
@@ -211,7 +210,9 @@ class PlanSession {
     std::uint64_t replans = 0;
     std::uint64_t deltas = 0;
     std::uint64_t graph_builds = 0;   ///< full build_conflict_graph runs
-    std::uint64_t graph_patches = 0;  ///< incremental patches instead
+    /// Always 0: no graph is patched.  The field stays only because
+    /// perfbench/workloads.cpp reads it.
+    std::uint64_t graph_patches = 0;
     std::uint64_t warm_greedy = 0;    ///< replans handed the warm table
     std::uint64_t regions = 0;            ///< largest region partition planned
     std::uint64_t regions_replanned = 0;  ///< region shards colored cold
@@ -241,14 +242,13 @@ class PlanSession {
 
   TilingCache own_cache_;               ///< used when no shared cache given
 
-  /// Conflict graph of `deployment_`, patched across deltas; absent
-  /// until an order-sensitive coloring backend needs it (or after a
-  /// delta too large to patch profitably).
+  /// Conflict graph of `deployment_`; absent until an order-sensitive
+  /// coloring backend needs it, and dropped by every apply().
   std::optional<Graph> graph_;
 
   /// The exact greedy fixpoint table of `deployment_`, repaired by every
   /// apply().  Absent until a greedy / region-greedy plan ran (or after a
-  /// delta past the patch threshold).
+  /// delta past kWarmRepairDirtyDenominator).
   std::optional<PlanWarmStart> warm_;
 
   Stats stats_;

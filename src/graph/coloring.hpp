@@ -34,7 +34,7 @@ Coloring greedy_coloring(const Graph& g,
 Coloring greedy_coloring(const Graph& g);
 
 /// "No color" marker in partial colorings handed to
-/// incremental_greedy_coloring (new sensors of a patched graph).
+/// incremental_greedy_coloring (sensors a delta added).
 inline constexpr std::uint32_t kUncolored =
     std::numeric_limits<std::uint32_t>::max();
 

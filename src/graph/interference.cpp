@@ -177,22 +177,6 @@ Graph build_conflict_graph(const Deployment& d) {
   return Graph::from_sorted_adjacency(std::move(adj));
 }
 
-std::vector<std::vector<std::uint32_t>> build_affects_digraph(
-    const Deployment& d) {
-  std::vector<std::vector<std::uint32_t>> affects(d.size());
-  for (std::uint32_t i = 0; i < d.size(); ++i) {
-    const Point& pos = d.position(i);
-    for (const Point& n : d.neighborhood_of(i).points()) {
-      const auto j = d.sensor_at(pos + n);
-      if (j.has_value() && *j != i) {
-        affects[i].push_back(static_cast<std::uint32_t>(*j));
-      }
-    }
-    std::sort(affects[i].begin(), affects[i].end());
-  }
-  return affects;
-}
-
 PointVec conflict_candidate_offsets(const Deployment& d,
                                     std::uint32_t type) {
   PointVec diffs;
@@ -279,84 +263,6 @@ void ConflictRows::build(std::uint32_t u,
   if (!std::is_sorted(row.begin(), row.end())) {
     std::sort(row.begin(), row.end());
   }
-}
-
-CsrU32 build_conflict_block(const Deployment& d,
-                            const std::vector<std::uint32_t>& sensors) {
-  const ConflictRows rows(d);
-  CsrU32 block;
-  block.offsets.reserve(sensors.size() + 1);
-  block.offsets.push_back(0);
-  std::vector<std::uint32_t> row;
-  for (std::uint32_t u : sensors) {
-    if (u >= d.size()) {
-      throw std::invalid_argument(
-          "build_conflict_block: sensor index out of range");
-    }
-    rows.build(u, row);
-    block.values.insert(block.values.end(), row.begin(), row.end());
-    if (block.values.size() > 0xFFFFFFFFull) {
-      throw std::length_error(
-          "build_conflict_block: more than 2^32-1 entries in one block");
-    }
-    block.offsets.push_back(static_cast<std::uint32_t>(block.values.size()));
-  }
-  return block;
-}
-
-Graph patch_conflict_graph(const Graph& old_graph, const Deployment& new_d,
-                           const std::vector<std::uint32_t>& old_to_new,
-                           const std::vector<std::uint32_t>& dirty) {
-  if (old_to_new.size() != old_graph.size()) {
-    throw std::invalid_argument(
-        "patch_conflict_graph: old_to_new/old_graph size mismatch");
-  }
-  const std::size_t n_new = new_d.size();
-  std::vector<char> is_dirty(n_new, 0);
-  for (std::uint32_t u : dirty) {
-    if (u >= n_new) {
-      throw std::invalid_argument(
-          "patch_conflict_graph: dirty index out of range");
-    }
-    is_dirty[u] = 1;
-  }
-
-  // Clean rows carry over: remap through old_to_new, dropping removed
-  // neighbors and dirty neighbors (the dirty rebuild below re-adds any
-  // surviving edge to a dirty sensor).  Kept sensors preserve relative
-  // order, so remapped rows stay sorted.
-  std::vector<std::vector<std::uint32_t>> adj(n_new);
-  for (std::uint32_t i = 0; i < old_to_new.size(); ++i) {
-    const std::uint32_t j = old_to_new[i];
-    if (j == kRemovedSensor) continue;
-    if (j >= n_new) {
-      throw std::invalid_argument(
-          "patch_conflict_graph: old_to_new index out of range");
-    }
-    if (is_dirty[j]) continue;
-    for (std::uint32_t t : old_graph.neighbors(i)) {
-      const std::uint32_t nt = old_to_new[t];
-      if (nt == kRemovedSensor || is_dirty[nt]) continue;
-      adj[j].push_back(nt);
-    }
-  }
-
-  // Dirty rows rebuild locally.  Dirty-dirty edges are discovered from
-  // both endpoints (the predicate is symmetric), so each dirty row is
-  // complete on its own; only clean partners need the symmetric insert.
-  const ConflictRows rows(new_d);
-  for (std::uint32_t u : dirty) {
-    std::vector<std::uint32_t>& row = adj[u];
-    rows.build(u, row);
-    for (std::uint32_t v : row) {
-      if (is_dirty[v]) continue;
-      std::vector<std::uint32_t>& back = adj[v];
-      back.insert(std::lower_bound(back.begin(), back.end(), u), u);
-    }
-  }
-  // from_sorted_adjacency re-validates symmetry and ordering, so a patch
-  // bug surfaces as an exception instead of a silently wrong schedule.
-  return Graph::from_sorted_adjacency(std::move(adj));
 }
 
 bool sensors_conflict(const Deployment& d, std::size_t i, std::size_t j) {

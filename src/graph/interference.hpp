@@ -4,10 +4,10 @@
 // each its interference neighborhood (a prototile).  The paper's collision
 // predicate — simultaneous senders s, t collide iff (s+N_s) ∩ (t+N_t) ≠ ∅
 // — induces the *conflict graph* whose proper colorings are exactly the
-// collision-free slot assignments.  The *affects digraph* (v → u iff u is
-// affected by v's radio) is the formulation used in the related work; for
-// completeness we provide both and the tests check that conflict equals
-// "distance ≤ 2 via a common out-neighbor" in the affects digraph.
+// collision-free slot assignments.  The *affects digraph* of the related
+// work (v → u iff u is affected by v's radio) is the simulators' listener
+// relation, build_listeners; the tests check that conflict equals
+// "distance ≤ 2 via a common out-neighbor" in it.
 //
 // Engine note: deployment queries back every verification, graph build
 // and simulation step, so positions are indexed dense-first: the
@@ -95,21 +95,16 @@ class Deployment {
   PointMap<std::uint32_t> index_of_position_;
 };
 
-/// The simulators' listener relation as CSR: row u lists the sensors
-/// located inside coverage_of(u), excluding u itself (the radio model's
-/// receivers of u's broadcast).  One definition shared by SlotSimulator,
-/// convergecast and bootstrap.
+/// The simulators' listener relation (the affects digraph) as CSR: row u
+/// lists the sensors located inside coverage_of(u), excluding u itself
+/// (the radio model's receivers of u's broadcast).  One definition shared
+/// by SlotSimulator, convergecast and bootstrap.
 CsrU32 build_listeners(const Deployment& d);
 
 /// Undirected conflict graph: edge (i, j) iff coverage_of(i) and
 /// coverage_of(j) intersect.  Proper colorings = collision-free schedules.
 /// Streamed row by row through ConflictRows.
 Graph build_conflict_graph(const Deployment& d);
-
-/// Directed affects relation as adjacency lists: affects[i] lists sensors
-/// located inside coverage_of(i) (excluding i itself).
-std::vector<std::vector<std::uint32_t>> build_affects_digraph(
-    const Deployment& d);
 
 /// Whether sensors i and j conflict per the paper's intersection predicate
 /// (allocation-free sorted-order merge; used to cross-check the builders).
@@ -159,31 +154,5 @@ class ConflictRows {
   const PointIndexer* index_;
   std::vector<Probe> by_type_;
 };
-
-/// Streaming per-region conflict rows: a CSR block with one row per
-/// listed sensor (in the given order) holding its full sorted conflict
-/// row as GLOBAL sensor ids, built by ConflictRows — cost and memory
-/// scale with the block, never with the all-pairs adjacency of
-/// build_conflict_graph.
-CsrU32 build_conflict_block(const Deployment& d,
-                            const std::vector<std::uint32_t>& sensors);
-
-/// Marks a removed sensor in `old_to_new` index maps.
-inline constexpr std::uint32_t kRemovedSensor = 0xffffffffu;
-
-/// Incrementally patches a conflict graph after a deployment delta
-/// instead of re-running build_conflict_graph.  `old_graph` is the
-/// conflict graph of the previous deployment; `old_to_new[i]` maps old
-/// sensor i to its index in `new_d` (kRemovedSensor when it was
-/// removed; kept sensors must preserve relative order, added sensors
-/// take the trailing indices).  `dirty` lists the NEW indices whose
-/// conflict rows cannot be carried over — moved, reshaped and added
-/// sensors — sorted ascending.  Clean rows are remapped; dirty rows
-/// are rebuilt locally by ConflictRows, so the cost scales with the
-/// delta, not the deployment.  The result is exactly
-/// build_conflict_graph(new_d).
-Graph patch_conflict_graph(const Graph& old_graph, const Deployment& new_d,
-                           const std::vector<std::uint32_t>& old_to_new,
-                           const std::vector<std::uint32_t>& dirty);
 
 }  // namespace latticesched

@@ -35,7 +35,7 @@ constexpr std::pair<const char*, std::uint64_t PlanSession::Stats::*>
         {"replans", &PlanSession::Stats::replans},
         {"deltas", &PlanSession::Stats::deltas},
         {"graph_builds", &PlanSession::Stats::graph_builds},
-        {"graph_patches", &PlanSession::Stats::graph_patches},
+        {"graph_patches", &PlanSession::Stats::graph_patches},  // always 0
         {"warm_greedy", &PlanSession::Stats::warm_greedy},
         {"regions_replanned", &PlanSession::Stats::regions_replanned},
 };

@@ -1,6 +1,7 @@
-// Deployments, conflict graphs, and the affects digraph — including the
-// equivalence between the paper's set-intersection collision predicate and
-// the distance-2 formulation of the related work.
+// Deployments, conflict graphs, and the affects digraph (the listener
+// relation) — including the equivalence between the paper's
+// set-intersection collision predicate and the distance-2 formulation of
+// the related work.
 #include "graph/interference.hpp"
 
 #include <gtest/gtest.h>
@@ -82,14 +83,22 @@ TEST(ConflictGraph, AdjacentChebyshevSensorsConflict) {
 TEST(AffectsDigraph, MatchesCoverage) {
   const Deployment d = Deployment::grid(Box::cube(2, 0, 2),
                                         shapes::quadrant_sector(1));
-  const auto affects = build_affects_digraph(d);
+  const CsrU32 affects = build_listeners(d);
+  ASSERT_EQ(affects.rows(), d.size());
   for (std::uint32_t i = 0; i < d.size(); ++i) {
-    for (std::uint32_t j : affects[i]) {
+    const PointVec cov = d.coverage_of(i);
+    for (std::uint32_t j : affects.row(i)) {
       EXPECT_NE(i, j);
       // j's position must be inside i's coverage.
-      const PointVec cov = d.coverage_of(i);
       EXPECT_NE(std::find(cov.begin(), cov.end(), d.position(j)), cov.end());
     }
+    // ... and every other sensor inside it is listed.
+    std::size_t covered = 0;
+    for (const Point& p : cov) {
+      const auto j = d.sensor_at(p);
+      if (j.has_value() && *j != i) ++covered;
+    }
+    EXPECT_EQ(affects.row_size(i), covered) << "sensor " << i;
   }
 }
 
@@ -98,10 +107,10 @@ TEST(AffectsDigraph, AsymmetricForDirectionalAntennas) {
   // affected, but with the same antenna it does NOT affect the origin.
   const Deployment d = Deployment::uniform({Point{0, 0}, Point{1, 1}},
                                            shapes::quadrant_sector(1));
-  const auto affects = build_affects_digraph(d);
-  ASSERT_EQ(affects[0].size(), 1u);
-  EXPECT_EQ(affects[0][0], 1u);
-  EXPECT_TRUE(affects[1].empty());
+  const CsrU32 affects = build_listeners(d);
+  ASSERT_EQ(affects.row_size(0), 1u);
+  EXPECT_EQ(affects.row(0)[0], 1u);
+  EXPECT_EQ(affects.row_size(1), 0u);
   // They still conflict (coverages intersect at (1,1) among others).
   EXPECT_TRUE(sensors_conflict(d, 0, 1));
 }
@@ -114,24 +123,20 @@ TEST(ConflictEqualsCommonOutNeighborOnDenseGrids, SymmetricNeighborhoods) {
   const Box box = Box::cube(2, 0, 5);
   const Deployment d = Deployment::grid(box, shapes::l1_ball(2, 1));
   const Graph g = build_conflict_graph(d);
-  const auto affects = build_affects_digraph(d);
+  const CsrU32 affects = build_listeners(d);
   // Interior sensors only (so coverage stays inside the deployed window).
   for (std::uint32_t i = 0; i < d.size(); ++i) {
     if (!Box::cube(2, 1, 4).contains(d.position(i))) continue;
+    // i -> w for w in listeners(i), plus w = i itself: a direct edge also
+    // witnesses intersection since neighborhoods contain 0.
+    std::vector<char> out_i(d.size(), 0);
+    out_i[i] = 1;
+    for (std::uint32_t w : affects.row(i)) out_i[w] = 1;
     for (std::uint32_t j = 0; j < d.size(); ++j) {
       if (j <= i || !Box::cube(2, 1, 4).contains(d.position(j))) continue;
-      bool common_out = false;
-      // i -> w and j -> w for some w (w may equal i or j: a direct edge
-      // also witnesses intersection since neighborhoods contain 0).
-      const PointVec cov_vec = d.coverage_of(i);
-      PointSet cov_i(cov_vec.begin(), cov_vec.end());
-      for (const Point& w : d.coverage_of(j)) {
-        if (cov_i.count(w) != 0) {
-          common_out = true;
-          break;
-        }
-      }
-      EXPECT_EQ(g.has_edge(i, j), common_out);
+      bool common_out = out_i[j] != 0;
+      for (std::uint32_t w : affects.row(j)) common_out |= out_i[w] != 0;
+      EXPECT_EQ(g.has_edge(i, j), common_out) << "sensors " << i << ", " << j;
     }
   }
 }

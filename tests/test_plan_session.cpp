@@ -3,7 +3,7 @@
 // must produce results identical (slots, verdict, optimality gap,
 // detail text) to a cold Planner::plan of the final deployment, for
 // every backend and every dynamic scenario — plus the incremental-reuse
-// accounting (graph patches instead of rebuilds, warm greedy
+// accounting (one graph build per delta that needs one, warm greedy
 // recoloring) and the >= 5x incremental-vs-cold wall-clock pin on
 // small-delta steps.
 #include <gtest/gtest.h>
@@ -80,7 +80,7 @@ TEST(PlanSession, SingleStepSessionMatchesPlanAll) {
   EXPECT_EQ(session.stats().deltas, 0u);
 }
 
-TEST(PlanSession, RemovalsReplanEqualsColdAndPatchesTheGraph) {
+TEST(PlanSession, RemovalsReplanEqualsColdAndRebuildsTheGraph) {
   SessionConfig config;
   config.backends = {"tiling", "greedy", "dsatur", "tdma"};
   PlanSession session(grid_deployment(8), config);
@@ -93,9 +93,13 @@ TEST(PlanSession, RemovalsReplanEqualsColdAndPatchesTheGraph) {
 
   expect_all_equivalent(session.replan(),
                         cold_plan(session, config.backends));
-  EXPECT_EQ(session.stats().graph_builds, 1u);
-  EXPECT_EQ(session.stats().graph_patches, 1u);
+  EXPECT_EQ(session.stats().graph_builds, 2u);
+  EXPECT_EQ(session.stats().graph_patches, 0u);
   EXPECT_EQ(session.stats().warm_greedy, 1u);
+
+  // No delta since the last replan: its graph is reused.
+  (void)session.replan();
+  EXPECT_EQ(session.stats().graph_builds, 2u);
 }
 
 TEST(PlanSession, AddMoveRadiusChannelsEqualCold) {
@@ -221,7 +225,7 @@ TEST(PlanSession, LargeDeltaFallsBackToFullRebuildAndStaysExact) {
   PlanSession session(grid_deployment(6), config);
   (void)session.replan();
 
-  // Move half the fleet: far past the patch threshold.
+  // Move half the fleet: far past the warm-repair threshold.
   DeploymentDelta delta;
   for (std::int64_t x = 0; x < 6; ++x) {
     for (std::int64_t y = 0; y < 3; ++y) {

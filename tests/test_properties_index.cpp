@@ -157,27 +157,20 @@ TEST(IndexProperty, BothIndexPathsAgreeWithBruteForce) {
       EXPECT_EQ(d.sensor_at(p), brute_sensor_at(c.positions, p)) << p;
     }
 
-    // Every conflict row against an all-pairs scan, and the graph rows
-    // against the block rows.
-    std::vector<std::uint32_t> all(d.size());
-    for (std::uint32_t u = 0; u < d.size(); ++u) all[u] = u;
-    const CsrU32 block = build_conflict_block(d, all);
+    // Every streamed conflict row and every graph row against an
+    // all-pairs scan.
+    const ConflictRows rows(d);
+    const Graph g = build_conflict_graph(d);
+    ASSERT_EQ(g.size(), d.size());
+    std::vector<std::uint32_t> row;
     for (std::uint32_t u = 0; u < d.size(); ++u) {
       std::vector<std::uint32_t> want;
       for (std::uint32_t v = 0; v < d.size(); ++v) {
         if (sensors_conflict(d, u, v)) want.push_back(v);
       }
-      const auto row = block.row(u);
-      ASSERT_EQ(std::vector<std::uint32_t>(row.begin(), row.end()), want)
-          << "row " << u;
-    }
-    const Graph g = build_conflict_graph(d);
-    ASSERT_EQ(g.size(), d.size());
-    for (std::uint32_t u = 0; u < d.size(); ++u) {
-      const auto row = block.row(u);
-      ASSERT_EQ(g.neighbors(u),
-                std::vector<std::uint32_t>(row.begin(), row.end()))
-          << "graph row " << u;
+      rows.build(u, row);
+      ASSERT_EQ(row, want) << "row " << u;
+      ASSERT_EQ(g.neighbors(u), want) << "graph row " << u;
     }
 
     // The collision checker against its reference on random slot tables;

@@ -1,5 +1,5 @@
-// Region-sharding tests: the spatial partitioner, the streaming
-// conflict blocks, and the seam-stitch identity.
+// Region-sharding tests: the spatial partitioner and the seam-stitch
+// identity.
 //
 // The load-bearing pin is EXACTNESS: plan_regions must return exactly
 // greedy_coloring(build_conflict_graph(d)) — the serial cold plan —
@@ -80,25 +80,6 @@ TEST(RegionShard, PartitionCoversEverySensorExactlyOnce) {
         total += grid.members[r].size();
       }
       EXPECT_EQ(total, d.size());
-    }
-  }
-}
-
-TEST(RegionShard, ConflictBlockMatchesFullGraphRows) {
-  for (const Deployment& d :
-       {grid_deployment(9, 2), mixed_scatter(10, 7)}) {
-    const Graph g = build_conflict_graph(d);
-    std::vector<std::uint32_t> all(d.size());
-    for (std::uint32_t i = 0; i < d.size(); ++i) all[i] = i;
-    const CsrU32 block = build_conflict_block(d, all);
-    ASSERT_EQ(block.rows(), d.size());
-    for (std::uint32_t u = 0; u < d.size(); ++u) {
-      std::vector<std::uint32_t> expected = g.neighbors(u);
-      std::sort(expected.begin(), expected.end());
-      const auto row = block.row(u);
-      ASSERT_EQ(row.size(), expected.size()) << "sensor " << u;
-      EXPECT_TRUE(std::equal(row.begin(), row.end(), expected.begin()))
-          << "sensor " << u;
     }
   }
 }
