@@ -41,7 +41,6 @@ SessionConfig session_config(const BatchItem& item,
   config.search = item.search;
   config.sa = item.sa;
   config.verify = item.verify;
-  config.regions = item.regions;
   config.channels = instance.channels;
   if (instance.lattice.has_value()) config.lattice = &*instance.lattice;
   if (instance.tiling.has_value()) config.tiling = &*instance.tiling;

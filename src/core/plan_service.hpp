@@ -38,9 +38,9 @@ struct BatchItem {
   TorusSearchConfig search;
   SaConfig sa;
   bool verify = true;
-  /// Spatial shard count for the region-sharded backend
-  /// (SessionConfig::regions; 1 = unsharded).  Ships over the
-  /// distributed wire alongside the other planning knobs.
+  /// Ignored: `region-greedy` plans every deployment as one region.  The
+  /// field stays only because perfbench/workloads.cpp assigns it, and it
+  /// still ships over the distributed wire (protocol v9).
   std::size_t regions = 1;
   /// Ignored: no backend reads a region halo.  The field stays only
   /// because perfbench/workloads.cpp assigns it, and it still ships over

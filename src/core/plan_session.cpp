@@ -260,7 +260,6 @@ PlanSession::PlanSession(Deployment initial, SessionConfig config)
   base_.lattice = config.lattice;
   base_.tiling = config.tiling;
   base_.tiling_cache = config.tiling_cache;
-  base_.regions = std::max<std::size_t>(config.regions, 1);
   base_.tune_cache = config.tune_cache;
   base_.tune_trials = config.tune_trials;
   base_.tune_budget_ms = config.tune_budget_ms;

@@ -138,10 +138,8 @@ struct SessionConfig {
   SaConfig sa;
   bool verify = true;
   std::uint32_t channels = 1;
-  /// Spatial shard count for the region-sharded backend
-  /// (PlanRequest::regions).  Only its cold plans color shards
-  /// (SessionStats::regions_replanned counts them); warm replans return
-  /// the table apply() repaired.
+  /// Ignored: `region-greedy` plans every deployment as one region.  The
+  /// field stays only because perfbench/workloads.cpp assigns it.
   std::size_t regions = 1;
   /// Ignored: no backend reads a region halo.  The field stays only
   /// because perfbench/workloads.cpp assigns it.
@@ -214,12 +212,15 @@ class PlanSession {
     /// perfbench/workloads.cpp reads it.
     std::uint64_t graph_patches = 0;
     std::uint64_t warm_greedy = 0;    ///< replans handed the warm table
-    std::uint64_t regions = 0;            ///< largest region partition planned
-    std::uint64_t regions_replanned = 0;  ///< region shards colored cold
-    std::uint64_t seam_sensors = 0;       ///< seam sensors seen by stitches
-    /// Slots recolored by cold stitches, plus (on warm region-greedy
-    /// replans) PlanWarmStart::recolored: the slots apply()'s repairs
-    /// changed since the previous replan, summed over those deltas.
+    /// 1 once a `region-greedy` replan planned a non-empty fleet.
+    std::uint64_t regions = 0;
+    std::uint64_t regions_replanned = 0;  ///< cold region-greedy plans
+    /// Always 0: one region has no seams.  The field stays only because
+    /// perfbench/workloads.cpp reads it.
+    std::uint64_t seam_sensors = 0;
+    /// On warm region-greedy replans, PlanWarmStart::recolored: the
+    /// slots apply()'s repairs changed since the previous replan, summed
+    /// over those deltas.
     std::uint64_t stitch_recolored = 0;
   };
   const Stats& stats() const { return stats_; }

@@ -18,7 +18,6 @@
 #include "lattice/lattice.hpp"
 #include "tune/auto_planner.hpp"
 #include "util/cli.hpp"
-#include "util/parallel.hpp"
 
 namespace latticesched {
 
@@ -131,45 +130,42 @@ class ColoringPlanner final : public Planner {
 };
 
 // First-fit in index order over conflict rows streamed one at a time
-// (no graph is materialized) serves two names: `greedy` plans the
-// deployment as one region, and `region-greedy` colors rectangular
-// shards in parallel and stitches the seams back to the serial table
-// (core/region_shard.hpp).  Warm, both return the session's table,
-// which PlanSession::apply keeps exact.
+// (no graph is materialized) under two names: `greedy`, and
+// `region-greedy`, which plans the deployment as one region and reports
+// RegionShardStats (core/region_shard.hpp).  Warm, both return the
+// session's table, which PlanSession::apply keeps exact.
 class GreedyPlanner final : public Planner {
  public:
-  explicit GreedyPlanner(bool sharded) : sharded_(sharded) {}
+  explicit GreedyPlanner(bool region_named) : region_named_(region_named) {}
   std::string name() const override {
-    return sharded_ ? "region-greedy" : "greedy";
+    return region_named_ ? "region-greedy" : "greedy";
   }
   bool wants_warm_start() const override { return true; }
 
  protected:
   Raw compute(const PlanRequest& request) const override {
     const Deployment& d = *request.deployment;
-    const std::size_t regions =
-        sharded_ ? std::max<std::size_t>(request.regions, 1) : 1;
-    RegionShardStats local;
-    RegionShardStats& stats = sharded_ && request.region_stats != nullptr
-                                  ? *request.region_stats
-                                  : local;
-    const std::uint64_t regions_before = stats.regions;
-    Raw raw;
-    if (request.warm != nullptr &&
-        request.warm->greedy_colors.size() == d.size()) {
-      raw.slots.slot = request.warm->greedy_colors;
-      // region-greedy's detail names its shard count, as a cold plan's.
-      if (sharded_) stats.regions += partition_regions(d, regions).boxes.size();
-      stats.stitch_recolored += request.warm->recolored;
-    } else {
-      raw.slots.slot = plan_regions(d, regions, &stats);
+    const PlanWarmStart* warm = request.warm;
+    if (warm != nullptr && warm->greedy_colors.size() != d.size()) {
+      warm = nullptr;
     }
+    Raw raw;
+    raw.slots.slot = warm != nullptr ? warm->greedy_colors : plan_greedy(d);
     raw.slots.period = color_count(raw.slots.slot);
     std::ostringstream os;
-    if (sharded_) {
+    if (region_named_) {
+      const std::uint64_t regions = d.size() > 0 ? 1 : 0;
+      if (RegionShardStats* stats = request.region_stats) {
+        stats->regions += regions;
+        if (warm != nullptr) {
+          stats->stitch_recolored += warm->recolored;
+        } else {
+          stats->regions_planned += regions;
+        }
+      }
       raw.slots.source = "region-greedy";
-      os << "region-sharded greedy (" << (stats.regions - regions_before)
-         << " region(s), " << raw.slots.period << " slots)";
+      os << "region-sharded greedy (" << regions << " region(s), "
+         << raw.slots.period << " slots)";
     } else {
       raw.slots.source = "coloring-greedy";
       os << "conflict-graph coloring (greedy), " << raw.slots.period
@@ -180,7 +176,7 @@ class GreedyPlanner final : public Planner {
   }
 
  private:
-  bool sharded_;
+  bool region_named_;
 };
 
 class TdmaPlanner final : public Planner {

@@ -14,8 +14,8 @@
 //   welsh-powell  first-fit by decreasing degree
 //   dsatur        Brélaz saturation coloring
 //   annealing     simulated-annealing coloring (Wang–Ansari stand-in)
-//   region-greedy spatially sharded greedy: per-region streamed conflict
-//                 rows + seam stitching (exactly the greedy table)
+//   region-greedy `greedy` under a second name: one region, reported
+//                 through RegionShardStats (core/region_shard.hpp)
 //   tdma          one slot per sensor (the paper's non-scaling foil)
 //   mobile        tiling schedule + the Conclusions' location-based rule
 //                 (2-D only; PlanResult::mobile carries the scheduler)
@@ -124,18 +124,17 @@ struct PlanRequest {
   /// cold plan.  Must outlive the call.
   const PlanWarmStart* warm = nullptr;
 
-  /// Spatial shard count for the region-sharded backend (>= 1; 1 = one
-  /// region, still planned via the streaming builder).  Other backends
-  /// ignore it.
+  /// Ignored: `region-greedy` plans every deployment as one region.  The
+  /// field stays only because perfbench/workloads.cpp assigns it.
   std::size_t regions = 1;
 
   /// Ignored: no backend reads a region halo.  The field stays only
   /// because perfbench/workloads.cpp assigns it.
   std::int64_t region_halo = -1;
 
-  /// When non-null, the region-sharded backend accumulates its partition
-  /// / seam / stitch counters here (flows into SessionStats and the
-  /// batch report footer).
+  /// When non-null, `region-greedy` accumulates its region and recolor
+  /// counters here (flows into SessionStats and the batch report
+  /// footer).
   RegionShardStats* region_stats = nullptr;
 
   /// Persistent tuning cache for the `auto` backend (tune/tune_cache.hpp).

@@ -1,30 +1,21 @@
-// Spatial region sharding: plan huge deployments region by region.
+// The greedy first-fit table of `greedy` and `region-greedy`, planned
+// cold and repaired warm, from conflict rows streamed one at a time
+// (ConflictRows): neither the all-pairs conflict graph nor any block of
+// it is ever materialized.
 //
-// The paper's schedules are defined pointwise, so a deployment can be
-// planned in rectangular spatial shards as long as the slot tables agree
-// across interference seams.  This module owns the pieces every
-// consumer (planner backends, PlanSession, batch service, coordinator,
-// driver) shares:
+//   1. plan_greedy: the cold plan, one first-fit pass in index order.
+//   2. repair_greedy_table: the lazy-row incremental_greedy_coloring
+//      pass, each row streamed once into one buffer.  PlanSession::apply
+//      repairs its carried table through it.  Greedy first-fit is the
+//      unique fixpoint of c(u) = mex{c(v) : v ~ u, v < u}, so the
+//      repaired table is EXACTLY the cold plan of the new deployment.
 //
-//   1. The partitioner: the deployment's bounding window split into an
-//      axis-aligned grid of ~`regions` rectangular core boxes, each
-//      sensor assigned to exactly one.
-//   2. The region planner: each shard first-fit colored independently
-//      (parallel_for over shards) from conflict rows streamed one at a
-//      time (ConflictRows) — neither the full all-pairs conflict graph
-//      nor a per-shard block is ever materialized.  At one region this
-//      is plain first-fit over streamed rows, the `greedy` backend's
-//      cold plan.
-//   3. The fixpoint repair (repair_greedy_table): the lazy-row
-//      incremental_greedy_coloring pass, each row streamed once into one
-//      buffer.  It stitches the seams of a sharded plan: greedy first-fit
-//      is the unique fixpoint of c(u) = mex{c(v) : v ~ u, v < u}, so the
-//      stitched table is EXACTLY greedy_coloring(build_conflict_graph(d))
-//      — the serial cold plan — while only seam rows are ever streamed
-//      in.  PlanSession::apply repairs its carried table through it too.
-//
-// plan_regions is cold only.  Warm replans read the session's carried
-// table, which apply() already repaired (see PlanWarmStart).
+// Both are exactly greedy_coloring(build_conflict_graph(d)).
+// `region-greedy` is `greedy` under a second name: it plans every
+// deployment as one region and still reports RegionShardStats.  The
+// rectangular shards and their seam stitch are gone: on 250k- and
+// 1M-sensor grids no shard count planned faster than one region, at
+// any thread count (EXPERIMENTS.md).
 #pragma once
 
 #include <cstdint>
@@ -32,42 +23,28 @@
 
 #include "graph/coloring.hpp"
 #include "graph/interference.hpp"
-#include "lattice/region.hpp"
 
 namespace latticesched {
 
-/// Counters of one plan_regions call.  PlanSession accumulates them into
+/// Counters of `region-greedy` plans.  PlanSession accumulates them into
 /// SessionStats; the batch service and the distributed coordinator merge
 /// them into the report footer.
 struct RegionShardStats {
-  std::uint64_t regions = 0;          ///< shards in the partition
-  std::uint64_t regions_planned = 0;  ///< shards colored cold by this call
-  std::uint64_t seam_sensors = 0;     ///< planned sensors with cross-region conflicts
-  std::uint64_t stitch_recolored = 0; ///< vertices the stitch pass recolored
+  std::uint64_t regions = 0;          ///< 1 per plan of a non-empty fleet
+  std::uint64_t regions_planned = 0;  ///< 1 per such plan colored cold
+  /// Always 0: one region has no seams.  The field stays only because
+  /// perfbench/workloads.cpp reads it.
+  std::uint64_t seam_sensors = 0;
+  /// Slots the session's repairs changed since the previous replan
+  /// (PlanWarmStart::recolored), reported by warm plans; a cold plan
+  /// recolors nothing.
+  std::uint64_t stitch_recolored = 0;
 };
 
-/// The spatial partition: disjoint core boxes covering the deployment's
-/// bounding window, plus the per-sensor assignment.
-struct RegionGrid {
-  std::vector<Box> boxes;                ///< core box per region
-  std::vector<std::uint32_t> region_of;  ///< region index per sensor
-  /// Sensor ids per region, ascending (global first-fit order).
-  std::vector<std::vector<std::uint32_t>> members;
-};
-
-/// Splits the deployment's bounding window into an axis-aligned grid of
-/// roughly `regions` rectangular shards (axes with the largest extent are
-/// split first) and assigns every sensor to its shard.  The window comes
-/// from the dense position index when there is one, and one region takes
-/// every sensor without reading a position.
-RegionGrid partition_regions(const Deployment& d, std::size_t regions);
-
-/// Plans `d` region by region and stitches the seams; returns a slot
-/// table identical to greedy_coloring(build_conflict_graph(d)) without
-/// ever materializing the full conflict graph.  Counters are
-/// accumulated into `stats` when non-null.
-Coloring plan_regions(const Deployment& d, std::size_t regions,
-                      RegionShardStats* stats);
+/// Greedy first-fit over `d`'s conflict rows in index order, each row
+/// streamed once into one buffer; identical to
+/// greedy_coloring(build_conflict_graph(d)).
+Coloring plan_greedy(const Deployment& d);
 
 /// Repairs `colors`, a greedy table carried onto the ids `rows` streams
 /// (kUncolored for sensors without a slot), to the deployment's exact

@@ -153,8 +153,7 @@ ScenarioSpec make_grid_large_spec() {
   return ScenarioSpec{
       "grid-large",
       "row-major prefix of the smallest square window holding n "
-      "sensors — the O(n) generator for million-sensor region-sharded "
-      "runs",
+      "sensors — the O(n) generator for million-sensor runs",
       {{"n", "100000", "sensor count"},
        {"radius", "1", "Chebyshev interference radius"}},
       [](const ScenarioParams& p, TilingCache*) {

@@ -80,21 +80,20 @@
 namespace latticesched {
 namespace {
 
-std::vector<std::int64_t> int_list(const std::string& csv) {
-  std::vector<std::int64_t> out;
-  for (const std::string& t : split_csv_list(csv)) out.push_back(std::stoll(t));
-  if (out.empty()) {
-    throw std::invalid_argument("expected at least one value in '" + csv +
-                                "'");
+/// The values of sweep flag --`flag`, a comma list whose every token
+/// `parse` (util/cli.hpp) reads whole.  Throws naming the flag on a bad
+/// token or an empty list.
+template <typename T>
+std::vector<T> sweep_list(const CliParser& cli, const std::string& flag,
+                          T (*parse)(const std::string&, const std::string&)) {
+  const std::string csv = cli.get_string(flag);
+  std::vector<T> out;
+  for (const std::string& t : split_csv_list(csv)) {
+    out.push_back(parse(t, "--" + flag));
   }
-  return out;
-}
-
-std::vector<double> double_list(const std::string& csv) {
-  std::vector<double> out;
-  for (const std::string& t : split_csv_list(csv)) out.push_back(std::stod(t));
   if (out.empty()) {
-    throw std::invalid_argument("expected at least one value in '" + csv +
+    throw std::invalid_argument("--" + flag +
+                                " expects at least one value, got '" + csv +
                                 "'");
   }
   return out;
@@ -244,9 +243,6 @@ int run(int argc, char** argv) {
                "sweeps");
   cli.add_flag("backends", "all",
                "comma-separated backend names, or 'all'");
-  cli.add_int_flag("regions", 1, 1,
-                   "spatial shard count for the region-greedy backend "
-                   "(1 = unsharded)");
   cli.add_flag("list-backends", "false",
                "print the registered planner backends and exit");
   cli.add_int_flag("steps", 0, 0,
@@ -457,11 +453,11 @@ int run(int argc, char** argv) {
   }
 
   try {
-    const std::vector<std::int64_t> all_n = int_list(cli.get_string("n"));
+    const std::vector<std::int64_t> all_n = sweep_list(cli, "n", parse_i64);
     const std::vector<std::int64_t> all_radii =
-        int_list(cli.get_string("radius"));
+        sweep_list(cli, "radius", parse_i64);
     const std::vector<double> all_densities =
-        double_list(cli.get_string("density"));
+        sweep_list(cli, "density", parse_double);
     for (const std::string& name : scenario_names) {
       // Sweep only the parameters this scenario declares it reads —
       // sweeping a parameter a generator ignores would plan the
@@ -494,7 +490,6 @@ int run(int argc, char** argv) {
             item.query.params.steps = cli.get_int("steps");
             item.trace_script = trace_script;
             item.backends = backends;
-            item.regions = static_cast<std::size_t>(cli.get_int("regions"));
             item.sa.max_iters =
                 static_cast<std::uint64_t>(cli.get_int("sa-iters"));
             item.tune_trials =

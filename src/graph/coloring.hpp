@@ -54,11 +54,11 @@ using NeighborProvider =
 /// ascending order and propagating color changes upward reproduces the
 /// cold greedy coloring exactly while only touching the changed region.
 /// Rows come lazily from `neighbors`, never from a materialized
-/// adjacency: PlanSession repairs its table and the region-sharded
-/// planner stitches seams of million-vertex conflict graphs without
-/// holding the edge set.  Vertices are re-evaluated in strictly
-/// ascending order, each at most once, so only dirty vertices and
-/// vertices reached by color propagation have their row requested, once.
+/// adjacency: PlanSession repairs its table of a million-vertex
+/// conflict graph without holding the edge set.  Vertices are
+/// re-evaluated in strictly ascending order, each at most once, so only
+/// dirty vertices and vertices reached by color propagation have their
+/// row requested, once.
 Coloring incremental_greedy_coloring(std::size_t n,
                                      const NeighborProvider& neighbors,
                                      Coloring previous,

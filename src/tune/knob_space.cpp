@@ -56,8 +56,6 @@ const KnobSpace& KnobSpace::global() {
        true, "Metropolis steps per color-count attempt"},
       {"annealing", "sa_initial_temperature", 2.0, 0.25, 16.0, 2.0, true,
        "starting temperature of the geometric cooling schedule"},
-      {"region-greedy", "regions", 1.0, 1.0, 64.0, 4.0, true,
-       "spatial shard count of the streaming conflict-block planner"},
       {"mobile", "node_limit", 20'000'000.0, 10'000.0, 80'000'000.0, 4.0,
        true, "torus-search placement budget of the underlying tiling"},
       // Session-level knobs: declared (serialized, listed, benched) but
@@ -144,8 +142,6 @@ void apply_config(const TunedConfig& config, PlanRequest* request) {
       request->sa.max_iters = static_cast<std::uint64_t>(value);
     } else if (knob == "sa_initial_temperature") {
       request->sa.initial_temperature = value;
-    } else if (knob == "regions") {
-      request->regions = static_cast<std::size_t>(value);
     }
     // Unknown or session-level knobs fall through untouched: a cache
     // entry written by a future version with more knobs still applies

@@ -1,8 +1,8 @@
 // Declarative knob space of the auto-tuning subsystem.
 //
 // The planner's configuration surface — backend choice × torus search
-// budget × annealing schedule × region sharding × the session-level
-// pool width — is a product of per-backend subspaces.
+// budget × annealing schedule × the session-level pool width — is a
+// product of per-backend subspaces.
 // KnobSpace is the one registry describing that product: every tunable
 // knob with its owning backend, default, range and hill-climb stride,
 // so the tuner (tune/tuner.hpp), the driver's `--list-backends` output
@@ -101,8 +101,9 @@ struct TunedConfig {
 TunedConfig default_config(const std::string& backend);
 
 /// Applies `config`'s knob values onto the request fields the delegate
-/// backend reads (search/sa/regions).  Session-level knobs
-/// ("" backend) are skipped — they have no per-request field.
+/// backend reads (search/sa).  Session-level knobs ("" backend) and
+/// unknown ones, such as the retired `regions` an older tune-cache entry
+/// may carry, are skipped.
 void apply_config(const TunedConfig& config, PlanRequest* request);
 
 /// Deterministic hill-climb neighborhood: each knob nudged one stride in

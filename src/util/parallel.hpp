@@ -1,9 +1,9 @@
 // Shared fork-join thread pool and parallel_for.
 //
-// The planner pipeline fans out over backends, the torus search
-// speculatively explores several tori, and region shards color in
-// parallel — all through this one pool, so the process never
-// oversubscribes the machine no matter how the layers nest.
+// The planner pipeline fans out over backends, and the torus search
+// speculatively explores several tori — all through this one pool, so
+// the process never oversubscribes the machine no matter how the layers
+// nest.
 //
 // Design rules that keep users deterministic:
 //  * the pool only provides *parallelism*, never *ordering*: every

@@ -1,10 +1,9 @@
-// Region-sharding tests: the spatial partitioner and the seam-stitch
-// identity.
+// `region-greedy` tests: the streamed greedy table and its counters.
 //
-// The load-bearing pin is EXACTNESS: plan_regions must return exactly
-// greedy_coloring(build_conflict_graph(d)) — the serial cold plan —
-// for every partition granularity, prototile mix and delta sequence,
-// because the region path replaces the materialized conflict graph on
+// The load-bearing pin is EXACTNESS: plan_greedy and every warm replan
+// must return exactly greedy_coloring(build_conflict_graph(d)) — the
+// serial cold plan — for every prototile mix and delta sequence,
+// because the streamed path replaces the materialized conflict graph on
 // the scale path and any drift would silently change schedules.
 #include <gtest/gtest.h>
 
@@ -62,41 +61,11 @@ Deployment hashed_scatter(std::size_t n, std::uint64_t seed) {
   return Deployment::uniform(std::move(cells), shapes::chebyshev_ball(2, 1));
 }
 
-TEST(RegionShard, PartitionCoversEverySensorExactlyOnce) {
-  const Deployment scatter = hashed_scatter(60, 5);
-  ASSERT_EQ(scatter.position_index(), nullptr);
-  for (const Deployment& d : {grid_deployment(13), scatter}) {
-    for (const std::size_t regions : {1, 3, 4, 9, 50}) {
-      const RegionGrid grid = partition_regions(d, regions);
-      ASSERT_EQ(grid.region_of.size(), d.size());
-      std::size_t total = 0;
-      for (std::size_t r = 0; r < grid.members.size(); ++r) {
-        for (std::uint32_t u : grid.members[r]) {
-          EXPECT_EQ(grid.region_of[u], r);
-          EXPECT_TRUE(grid.boxes[r].contains(d.position(u)));
-        }
-        EXPECT_TRUE(std::is_sorted(grid.members[r].begin(),
-                                   grid.members[r].end()));
-        total += grid.members[r].size();
-      }
-      EXPECT_EQ(total, d.size());
-    }
-  }
-}
-
 TEST(RegionShard, ColdPlanIdenticalToSerialGreedy) {
   for (const std::int64_t n : {5, 12, 16}) {
     for (const std::int64_t r : {1, 2}) {
       const Deployment d = grid_deployment(n, r);
-      const Coloring serial = serial_greedy(d);
-      for (const std::size_t regions : {1, 2, 4, 9}) {
-        RegionShardStats stats;
-        const Coloring sharded =
-            plan_regions(d, regions, &stats);
-        EXPECT_EQ(sharded, serial)
-            << "n=" << n << " r=" << r << " regions=" << regions;
-        EXPECT_EQ(stats.regions, stats.regions_planned);
-      }
+      EXPECT_EQ(plan_greedy(d), serial_greedy(d)) << "n=" << n << " r=" << r;
     }
   }
 }
@@ -104,33 +73,19 @@ TEST(RegionShard, ColdPlanIdenticalToSerialGreedy) {
 TEST(RegionShard, ColdPlanIdenticalOnMixedPrototiles) {
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     const Deployment d = mixed_scatter(12, seed);
-    const Coloring serial = serial_greedy(d);
-    for (const std::size_t regions : {3, 6}) {
-      EXPECT_EQ(plan_regions(d, regions, nullptr), serial)
-          << "seed=" << seed << " regions=" << regions;
-    }
+    EXPECT_EQ(plan_greedy(d), serial_greedy(d)) << "seed=" << seed;
   }
-}
-
-TEST(RegionShard, StitchedPlanIsAlwaysProper) {
-  for (const std::uint64_t seed : {4u, 9u}) {
-    const Deployment d = mixed_scatter(14, seed);
-    const Graph g = build_conflict_graph(d);
-    for (const std::size_t regions : {2, 5, 8}) {
-      EXPECT_TRUE(is_proper_coloring(
-          g, plan_regions(d, regions, nullptr)))
-          << "seed=" << seed << " regions=" << regions;
-    }
-  }
+  const Deployment scatter = hashed_scatter(60, 5);
+  ASSERT_EQ(scatter.position_index(), nullptr);
+  EXPECT_EQ(plan_greedy(scatter), serial_greedy(scatter)) << "hashed";
 }
 
 TEST(RegionShard, WarmReplanMatchesColdAfterDeltaSequence) {
-  // Drive a region-sharded session through removals, additions and a
+  // Drive a region-greedy session through removals, additions and a
   // move; every replan must equal the serial cold plan of the current
   // deployment.
   SessionConfig config;
   config.backends = {"region-greedy"};
-  config.regions = 4;
   PlanSession session(grid_deployment(16), config);
   auto check = [&](const char* what) {
     const std::vector<PlanResult> results = session.replan();
@@ -157,7 +112,7 @@ TEST(RegionShard, WarmReplanMatchesColdAfterDeltaSequence) {
   move.move_sensors.push_back(
       DeploymentDelta::SensorMove{Point{4, 4}, Point{17, 17}});
   session.apply(move);
-  check("after move (hull growth re-partitions)");
+  check("after move (hull growth)");
 
   DeploymentDelta reshape;
   DeploymentDelta::RadiusChange rc;
@@ -171,16 +126,15 @@ TEST(RegionShard, WarmReplanMatchesColdAfterDeltaSequence) {
 TEST(RegionShard, WarmRegionReplanRecolorsOnlyChangedSlots) {
   SessionConfig config;
   config.backends = {"region-greedy"};
-  config.regions = 4;
   PlanSession session(grid_deployment(16), config);
   const Coloring cold = session.replan()[0].slots.slot;
   const PlanSession::Stats after_cold = session.stats();
-  EXPECT_EQ(after_cold.regions, 4u);
-  EXPECT_EQ(after_cold.regions_replanned, 4u);  // cold = every shard
+  EXPECT_EQ(after_cold.regions, 1u);
+  EXPECT_EQ(after_cold.regions_replanned, 1u);  // the one cold plan
 
-  // One sensor inside region 0 dies.  The warm replan colors no shard:
-  // the stitch repairs the carried table, so it recolors exactly the
-  // sensors whose slot differs from that table.
+  // One sensor dies.  The warm replan plans no region: apply()'s repair
+  // fixes the carried table, so it recolors exactly the sensors whose
+  // slot differs from that table.
   const std::size_t victim = *session.deployment().sensor_at(Point{1, 1});
   DeploymentDelta delta;
   delta.remove_sensors = {Point{1, 1}};
@@ -216,7 +170,6 @@ std::uint64_t slots_changed(Coloring before, std::size_t removed,
 TEST(RegionShard, WarmRecolorCountSumsTheRepairsSinceTheLastReplan) {
   SessionConfig config;
   config.backends = {"region-greedy"};
-  config.regions = 4;
   PlanSession session(grid_deployment(16), config);
   (void)session.replan();
   const auto remove = [&](const Point& p) {
@@ -272,7 +225,6 @@ TEST(RegionShard, RandomChurnKeepsWarmAndColdIdentical) {
       Rng rng(11);
       SessionConfig config;
       config.backends = backends;
-      config.regions = 6;
       PlanSession session(initial != nullptr ? *initial : grid_deployment(12),
                           config);
       (void)session.replan();

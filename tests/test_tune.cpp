@@ -46,7 +46,7 @@ TEST(KnobSpaceTest, RegistryCoversTunableBackends) {
   const KnobSpace& space = KnobSpace::global();
   EXPECT_FALSE(space.knobs_for("tiling").empty());
   EXPECT_FALSE(space.knobs_for("annealing").empty());
-  EXPECT_FALSE(space.knobs_for("region-greedy").empty());
+  EXPECT_TRUE(space.knobs_for("region-greedy").empty());
   EXPECT_FALSE(space.knobs_for("").empty());  // session-level knobs
   EXPECT_TRUE(space.knobs_for("tdma").empty());
   EXPECT_TRUE(space.knobs_for("greedy").empty());
@@ -94,7 +94,7 @@ TEST(KnobSpaceTest, MalformedConfigTextParsesToNullopt) {
 
 TEST(KnobSpaceTest, NeighborsStayInRangeAndDifferFromOrigin) {
   const KnobSpace& space = KnobSpace::global();
-  for (const std::string backend : {"tiling", "annealing", "region-greedy"}) {
+  for (const std::string backend : {"tiling", "annealing", "mobile"}) {
     const TunedConfig origin = tune::default_config(backend);
     const std::vector<TunedConfig> moved = tune::neighbors(origin);
     EXPECT_FALSE(moved.empty()) << backend;
@@ -313,6 +313,41 @@ TEST(TuneCachePersist, WriteCorruptionHookModelsTornWrites) {
   reader.set_persist_dir(dir.path);
   EXPECT_FALSE(reader.find(fp).has_value());
   EXPECT_EQ(reader.stats().checksum_failures, 1u);
+}
+
+TEST(TuneCachePersist, RetiredRegionsKnobParsesAndIsIgnored) {
+  // A winner tuned while `region-greedy` still had a `regions` knob.
+  const auto retired = TunedConfig::parse("backend=region-greedy;regions=4");
+  ASSERT_TRUE(retired.has_value());
+  EXPECT_DOUBLE_EQ(retired->get("regions", 0.0), 4.0);
+
+  // apply_config leaves the request as it was.
+  const Deployment d = grid_deployment(6, 1);
+  PlanRequest request;
+  request.deployment = &d;
+  request.tune_family = "grid";
+  tune::apply_config(*retired, &request);
+  EXPECT_EQ(request.regions, 1u);
+  EXPECT_EQ(request.search.node_limit, PlanRequest{}.search.node_limit);
+
+  TempDir dir;
+  {
+    TuneCache writer;
+    writer.set_persist_dir(dir.path);
+    writer.record_winner(tune::fingerprint_of(request), *retired);
+  }
+  TuneCache reader;
+  reader.set_persist_dir(dir.path);
+
+  // `auto` serves the entry as a cache hit and plans the greedy table.
+  request.tune_cache = &reader;
+  const PlanResult result =
+      PlannerRegistry::global().find("auto")->plan(request);
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.tuned, "cache-hit");
+  EXPECT_EQ(result.tuned_config, "backend=region-greedy;regions=4");
+  EXPECT_EQ(result.slots.slot, greedy_coloring(build_conflict_graph(d)));
+  EXPECT_EQ(reader.stats().searches, 0u);
 }
 
 // ---- acceptance pins ------------------------------------------------------
