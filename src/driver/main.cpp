@@ -251,13 +251,14 @@ int run(int argc, char** argv) {
   cli.add_flag("script", "",
                "drive the scenario through a PlanSession with the "
                "mutation script in this file (see docs/API.md)");
-  cli.add_flag("threads", "0",
-               "worker threads for the parallel layer (0 = auto)");
+  cli.add_int_flag("threads", 0, 0,
+                   "worker threads for the parallel layer (0 = auto)");
   cli.add_flag("format", "table", "table | csv | json");
   cli.add_flag("out", "", "also write the csv/json report to this file");
-  cli.add_flag("seed", "1", "seed for randomized scenarios");
-  cli.add_flag("channels", "2", "channels for the multichannel scenario");
-  cli.add_flag("sa-iters", "60000", "annealing iteration budget");
+  cli.add_int_flag("seed", 1, 0, "seed for randomized scenarios");
+  cli.add_int_flag("channels", 2, 1,
+                   "channels for the multichannel scenario");
+  cli.add_int_flag("sa-iters", 60000, 0, "annealing iteration budget");
   cli.add_int_flag("tune-trials", 8, 0,
                    "trial budget per tuning search of the 'auto' backend "
                    "(0 = defaults only)");

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <numeric>
 #include <queue>
-#include <set>
 #include <stdexcept>
+#include <tuple>
 
 namespace latticesched {
 
@@ -30,9 +30,12 @@ Coloring greedy_coloring(const Graph& g,
   Coloring colors(g.size(), kNone);
   std::vector<bool> used;
   for (std::uint32_t u : order) {
-    used.assign(g.size() + 1, false);
+    // The first free color is at most deg(u), so deg(u) + 1 flags decide
+    // it (kNone is never below the width).
+    const std::size_t width = g.degree(u) + 1;
+    used.assign(width, false);
     for (std::uint32_t v : g.neighbors(u)) {
-      if (colors[v] != kNone) used[colors[v]] = true;
+      if (colors[v] < width) used[colors[v]] = true;
     }
     std::uint32_t c = 0;
     while (used[c]) ++c;
@@ -114,29 +117,40 @@ Coloring welsh_powell_coloring(const Graph& g) {
 }
 
 Coloring dsatur_coloring(const Graph& g) {
-  constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
   const std::size_t n = g.size();
-  Coloring colors(n, kNone);
-  std::vector<std::set<std::uint32_t>> sat(n);
-  std::vector<bool> done(n, false);
-  for (std::size_t step = 0; step < n; ++step) {
-    // Vertex with maximal saturation; ties by degree, then index.
-    std::uint32_t pick = 0;
-    bool found = false;
-    for (std::uint32_t v = 0; v < n; ++v) {
-      if (done[v]) continue;
-      if (!found || sat[v].size() > sat[pick].size() ||
-          (sat[v].size() == sat[pick].size() &&
-           g.degree(v) > g.degree(pick))) {
-        pick = v;
-        found = true;
-      }
-    }
+  Coloring colors(n, kUncolored);
+  // seen[v * width + c]: a colored neighbor of v holds c.  A vertex's
+  // color is at most its degree, so every color fits below the width.
+  const std::size_t width = g.max_degree() + 1;
+  std::vector<bool> seen(n * width, false);
+  std::vector<std::uint32_t> saturation(n, 0);
+  // Max-heap on (saturation, degree, ~index), so the top is the vertex a
+  // scan in index order picks.  A vertex is pushed again whenever its
+  // saturation grows; its newest entry outranks the older ones, so an
+  // entry popped for a colored vertex is stale and skipped.  Stale
+  // entries left when the last vertex is colored are never popped.
+  using Entry = std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>;
+  std::vector<Entry> entries;
+  entries.reserve(n);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    entries.emplace_back(0, static_cast<std::uint32_t>(g.degree(v)), ~v);
+  }
+  std::priority_queue<Entry> heap(std::less<Entry>(), std::move(entries));
+  for (std::size_t left = n; left > 0;) {
+    const std::uint32_t pick = ~std::get<2>(heap.top());
+    heap.pop();
+    if (colors[pick] != kUncolored) continue;
+    const std::size_t base = pick * width;
     std::uint32_t c = 0;
-    while (sat[pick].count(c) != 0) ++c;
+    while (seen[base + c]) ++c;
     colors[pick] = c;
-    done[pick] = true;
-    for (std::uint32_t w : g.neighbors(pick)) sat[w].insert(c);
+    --left;
+    for (std::uint32_t w : g.neighbors(pick)) {
+      if (colors[w] != kUncolored || seen[w * width + c]) continue;
+      seen[w * width + c] = true;
+      heap.emplace(++saturation[w], static_cast<std::uint32_t>(g.degree(w)),
+                   ~w);
+    }
   }
   return colors;
 }

@@ -26,7 +26,8 @@ std::uint32_t color_count(const Coloring& c);
 /// Whether `c` assigns different colors across every edge.
 bool is_proper_coloring(const Graph& g, const Coloring& c);
 
-/// First-fit coloring in the given vertex order.
+/// First-fit coloring in the given vertex order: deg(u) + 1 flags per
+/// vertex, O(n + m) overall.
 Coloring greedy_coloring(const Graph& g,
                          const std::vector<std::uint32_t>& order);
 
@@ -68,7 +69,10 @@ Coloring incremental_greedy_coloring(std::size_t n,
 Coloring welsh_powell_coloring(const Graph& g);
 
 /// DSATUR (Brélaz): repeatedly color the vertex with the highest
-/// saturation (distinct neighbor colors), breaking ties by degree.
+/// saturation (distinct neighbor colors), breaking ties by degree, then
+/// by lowest index.  Picks come from a max-heap with lazy deletion, so
+/// the cost is O((n + m) log n) time and n * (max_degree + 1) bits of
+/// seen-color flags.
 Coloring dsatur_coloring(const Graph& g);
 
 struct ExactColoringConfig {

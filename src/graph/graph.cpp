@@ -73,20 +73,23 @@ std::vector<std::uint32_t> Graph::greedy_clique() const {
   }
   std::vector<std::uint32_t> clique{seed};
   std::vector<std::uint32_t> candidates = adj_[seed];
+  // Membership flags of `candidates`: a candidate's links into the set
+  // are one pass over its row.
+  std::vector<char> is_candidate(size(), 0);
   while (!candidates.empty()) {
     // Pick the candidate with the most connections into the candidate set.
+    for (std::uint32_t c : candidates) is_candidate[c] = 1;
     std::uint32_t best = candidates.front();
     std::size_t best_links = 0;
     for (std::uint32_t c : candidates) {
       std::size_t links = 0;
-      for (std::uint32_t d : candidates) {
-        if (c != d && has_edge(c, d)) ++links;
-      }
+      for (std::uint32_t d : adj_[c]) links += is_candidate[d];
       if (links > best_links) {
         best_links = links;
         best = c;
       }
     }
+    for (std::uint32_t c : candidates) is_candidate[c] = 0;
     clique.push_back(best);
     std::vector<std::uint32_t> next;
     for (std::uint32_t c : candidates) {

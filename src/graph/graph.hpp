@@ -40,7 +40,10 @@ class Graph {
   std::size_t max_degree() const;
 
   /// A greedily grown clique (vertex of max degree, extended by common
-  /// neighbors); its size lower-bounds the chromatic number.
+  /// neighbors); its size lower-bounds the chromatic number.  Each round
+  /// adds the candidate with the most links into the candidate set,
+  /// counted over its row against membership flags: O(sum of candidate
+  /// degrees) per round.
   std::vector<std::uint32_t> greedy_clique() const;
 
  private:

@@ -26,17 +26,27 @@ struct SaConfig {
 
 /// Searches for a proper k-coloring by annealing; nullopt when none found
 /// within the iteration budget (which does NOT prove non-existence).
+/// Each restart keeps a table of n * k counters, conflicts[u * k + c] =
+/// the number of u's neighbors colored c, so a step reads its before and
+/// after conflict counts in two lookups and only an accepted move updates
+/// the rows of u's neighbors.
 std::optional<Coloring> sa_find_coloring(const Graph& g, std::uint32_t k,
                                          const SaConfig& config = {});
 
 struct SaScheduleResult {
   Coloring coloring;
   std::uint32_t colors = 0;
+  /// Budgeted steps of the attempts made (max_iters * restarts each); 0
+  /// when DSATUR already meets the clique bound.
   std::uint64_t total_iterations = 0;
 };
 
 /// Starts from the DSATUR solution and repeatedly attempts k-1 colors by
-/// annealing until an attempt fails; returns the best proper coloring.
+/// annealing until an attempt fails or k reaches the size of
+/// g.greedy_clique(); returns the best proper coloring.  No proper
+/// coloring has fewer colors than a clique has vertices, so the attempts
+/// the clique stop skips could only have failed: the coloring is the one
+/// an unbounded descent returns.
 SaScheduleResult sa_min_coloring(const Graph& g, const SaConfig& config = {});
 
 }  // namespace latticesched

@@ -151,10 +151,8 @@ void CliParser::parse(int argc, const char* const* argv) {
     bool ok = true;
     std::int64_t parsed = 0;
     try {
-      std::size_t pos = 0;
-      parsed = std::stoll(flag.value, &pos);
-      ok = pos == flag.value.size();
-    } catch (const std::exception&) {
+      parsed = parse_i64(flag.value, "--" + name);
+    } catch (const std::invalid_argument&) {
       ok = false;
     }
     if (!ok) {
@@ -194,23 +192,11 @@ std::string CliParser::get_string(const std::string& name) const {
 }
 
 std::int64_t CliParser::get_int(const std::string& name) const {
-  const std::string& v = find(name).value;
-  std::size_t pos = 0;
-  const std::int64_t out = std::stoll(v, &pos);
-  if (pos != v.size()) {
-    throw std::invalid_argument("flag --" + name + ": not an integer: " + v);
-  }
-  return out;
+  return parse_i64(find(name).value, "--" + name);
 }
 
 double CliParser::get_double(const std::string& name) const {
-  const std::string& v = find(name).value;
-  std::size_t pos = 0;
-  const double out = std::stod(v, &pos);
-  if (pos != v.size()) {
-    throw std::invalid_argument("flag --" + name + ": not a number: " + v);
-  }
-  return out;
+  return parse_double(find(name).value, "--" + name);
 }
 
 bool CliParser::get_bool(const std::string& name) const {

@@ -73,6 +73,8 @@ class CliParser {
   std::string help_text() const;
 
   std::string get_string(const std::string& name) const;
+  /// The value through parse_i64 / parse_double: a malformed value
+  /// throws std::invalid_argument naming the flag ("bad --seed 'abc'").
   std::int64_t get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;

@@ -452,10 +452,13 @@ TEST(PlanServe, PingIsAnsweredWhileAnAssignPlans) {
   server.start();
   const int fd = connect_raw(server);
   BatchItem item;
-  item.query.scenario = "grid";
+  // DSATUR's 6 slots here are above the greedy clique's 5, so annealing
+  // searches for 5 (on a grid DSATUR meets the clique and annealing
+  // returns at once).
+  item.query.scenario = "random-subset";
   item.query.params.n = 12;
   item.backends = {"annealing"};
-  item.sa.max_iters = 3'000'000;  // plans for a few hundred ms
+  item.sa.max_iters = 10'000'000;  // plans for a few hundred ms
   ASSERT_EQ(dist::write_frame_deadline(
                 fd, {"ASSIGN", "5\n" + batch_items_to_json({item})}, 2000),
             dist::WireIoStatus::kOk);

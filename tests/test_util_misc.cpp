@@ -141,11 +141,30 @@ TEST(Cli, AllUnknownFlagsReportedTogether) {
 }
 
 TEST(Cli, MalformedNumberThrows) {
-  CliParser p("test");
-  p.add_flag("n", "1", "count");
-  const char* argv[] = {"prog", "--n=12abc"};
-  p.parse(2, argv);
-  EXPECT_THROW(p.get_int("n"), std::invalid_argument);
+  // Trailing junk and non-numbers alike; the error names the flag.
+  const auto error_of = [](const auto& read) -> std::string {
+    try {
+      read();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  for (const char* bad : {"12abc", "abc", ""}) {
+    CliParser p("test");
+    p.add_flag("n", "1", "count");
+    p.add_flag("rate", "0.5", "rate");
+    const std::string n_arg = std::string("--n=") + bad;
+    const std::string rate_arg = std::string("--rate=") + bad;
+    const char* argv[] = {"prog", n_arg.c_str(), rate_arg.c_str()};
+    p.parse(3, argv);
+    EXPECT_NE(error_of([&] { (void)p.get_int("n"); }).find("--n"),
+              std::string::npos)
+        << bad;
+    EXPECT_NE(error_of([&] { (void)p.get_double("rate"); }).find("--rate"),
+              std::string::npos)
+        << bad;
+  }
 }
 
 TEST(Cli, HelpRequested) {
