@@ -76,17 +76,12 @@ Deployment large_grid(std::int64_t sensors) {
   return ScenarioRegistry::global().build("grid-large", params).deployment;
 }
 
-/// Min wall over `reps` runs of `plan`, which returns a greedy table.
+/// Wall time of one call of `plan`, which returns a greedy table.
 template <typename Plan>
-double best_ms(int reps, Plan plan) {
-  double best = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    const Clock::time_point t0 = Clock::now();
-    benchmark::DoNotOptimize(plan());
-    best = std::min(
-        best, std::chrono::duration<double>(Clock::now() - t0).count() * 1e3);
-  }
-  return best;
+double wall_ms(Plan plan) {
+  const Clock::time_point t0 = Clock::now();
+  benchmark::DoNotOptimize(plan());
+  return std::chrono::duration<double>(Clock::now() - t0).count() * 1e3;
 }
 
 void add_record(const std::string& name, std::size_t sensors, double ms,
@@ -99,10 +94,15 @@ void report() {
   bench::section("streamed greedy vs full-graph greedy (20k sensors)");
   {
     const Deployment d = large_grid(20000);
-    const int reps = 5;
-    const double full = best_ms(
-        reps, [&] { return greedy_coloring(build_conflict_graph(d)); });
-    const double streamed = best_ms(reps, [&] { return plan_greedy(d); });
+    // Best of 15 each, interleaved: a busy spell on a shared host slows
+    // both sides, not just the one it happens to fall on.
+    double full = 1e300, streamed = 1e300;
+    for (int rep = 0; rep < 15; ++rep) {
+      full = std::min(full, wall_ms([&] {
+                        return greedy_coloring(build_conflict_graph(d));
+                      }));
+      streamed = std::min(streamed, wall_ms([&] { return plan_greedy(d); }));
+    }
     add_record("full_graph_greedy_20k", d.size(), full, 1.0);
     add_record("streamed_greedy_20k", d.size(), streamed, full / streamed);
     std::printf(

@@ -559,16 +559,19 @@ std::vector<PlanResult> PlanSession::replan() {
     request.warm = &*warm_;
     ++stats_.warm_greedy;
   }
-  RegionShardStats region_stats;
-  request.region_stats = &region_stats;
 
   // Backend fan-out: results land in their request slots, so the output
   // order is the request order at any thread count.  Backends that
   // themselves use the pool (tiling search) degrade to serial inside
-  // this region — the pool never nests.
+  // this region — the pool never nests.  Each backend counts into its
+  // own stats slot (`auto` hands its slot to its delegate, which may be
+  // `region-greedy`), summed in request order below.
   std::vector<PlanResult> results(selected.size());
+  std::vector<RegionShardStats> backend_stats(selected.size());
   parallel_for(0, selected.size(), [&](std::size_t i) {
-    results[i] = selected[i]->plan(request);
+    PlanRequest own = request;
+    own.region_stats = &backend_stats[i];
+    results[i] = selected[i]->plan(own);
   });
 
   if (warm) {
@@ -583,10 +586,14 @@ std::vector<PlanResult> PlanSession::replan() {
       }
     }
   }
-  stats_.regions = std::max(stats_.regions, region_stats.regions);
-  stats_.regions_replanned += region_stats.regions_planned;
-  stats_.seam_sensors += region_stats.seam_sensors;
-  stats_.stitch_recolored += region_stats.stitch_recolored;
+  std::uint64_t regions = 0;
+  for (const RegionShardStats& counted : backend_stats) {
+    regions += counted.regions;
+    stats_.regions_replanned += counted.regions_planned;
+    stats_.seam_sensors += counted.seam_sensors;
+    stats_.stitch_recolored += counted.stitch_recolored;
+  }
+  stats_.regions = std::max(stats_.regions, regions);
   ++stats_.replans;
   return results;
 }

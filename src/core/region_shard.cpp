@@ -1,5 +1,8 @@
 #include "core/region_shard.hpp"
 
+#include <algorithm>
+#include <bit>
+
 namespace latticesched {
 
 Coloring plan_greedy(const Deployment& d) {
@@ -7,16 +10,27 @@ Coloring plan_greedy(const Deployment& d) {
   Coloring colors(n, kUncolored);
   const ConflictRows rows(d);
   std::vector<std::uint32_t> row;
-  std::vector<bool> used;
+  std::vector<char> taken;
   for (std::uint32_t u = 0; u < n; ++u) {
-    rows.build(u, row);
-    used.assign(row.size() + 1, false);
-    for (const std::uint32_t v : row) {
-      if (v < u && colors[v] < used.size()) used[colors[v]] = true;
+    // u takes the first slot none of its earlier partners holds.  Slots
+    // below 64 are one register word.
+    std::uint64_t low = 0;
+    rows.for_each_earlier(u, row, [&](std::uint32_t v) {
+      if (colors[v] < 64) low |= std::uint64_t{1} << colors[v];
+    });
+    if (low != ~std::uint64_t{0}) {
+      colors[u] = static_cast<std::uint32_t>(std::countr_one(low));
+      continue;
     }
-    std::uint32_t c = 0;
-    while (used[c]) ++c;
-    colors[u] = c;
+    // All 64 are taken (u has 64 or more earlier partners): mark the
+    // higher slots too.
+    taken.assign(64, 1);
+    rows.for_each_earlier(u, row, [&](std::uint32_t v) {
+      if (colors[v] >= taken.size()) taken.resize(colors[v] + 1, 0);
+      taken[colors[v]] = 1;
+    });
+    colors[u] = static_cast<std::uint32_t>(
+        std::find(taken.begin() + 64, taken.end(), 0) - taken.begin());
   }
   return colors;
 }

@@ -3,7 +3,14 @@
 // (ConflictRows): neither the all-pairs conflict graph nor any block of
 // it is ever materialized.
 //
-//   1. plan_greedy: the cold plan, one first-fit pass in index order.
+//   1. plan_greedy: the cold plan, one first-fit pass in index order
+//      that reads only the partners with smaller ids, whose slots are
+//      all first-fit looks at (ConflictRows::for_each_earlier).  When
+//      ids ascend with cells, a sensor probes just its earlier offsets
+//      (12 of 24 at radius 1), ORs their slots into a one-word mask and
+//      takes the first zero bit, with no call and no row buffer;
+//      unordered ids and hashed scatters filter their streamed row to
+//      the smaller ids.
 //   2. repair_greedy_table: the lazy-row incremental_greedy_coloring
 //      pass, each row streamed once into one buffer.  PlanSession::apply
 //      repairs its carried table through it.  Greedy first-fit is the
@@ -41,9 +48,8 @@ struct RegionShardStats {
   std::uint64_t stitch_recolored = 0;
 };
 
-/// Greedy first-fit over `d`'s conflict rows in index order, each row
-/// streamed once into one buffer; identical to
-/// greedy_coloring(build_conflict_graph(d)).
+/// Greedy first-fit in index order over each sensor's conflict partners
+/// with smaller ids; identical to greedy_coloring(build_conflict_graph(d)).
 Coloring plan_greedy(const Deployment& d);
 
 /// Repairs `colors`, a greedy table carried onto the ids `rows` streams

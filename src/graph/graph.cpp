@@ -9,13 +9,21 @@ Graph::Graph(std::size_t n) : adj_(n) {}
 
 Graph Graph::from_sorted_adjacency(
     std::vector<std::vector<std::uint32_t>> adjacency) {
-  Graph g(adjacency.size());
+  const std::size_t n = adjacency.size();
+  Graph g(n);
+  // Rows are visited in ascending order, so the rows that list a vertex
+  // v below themselves arrive in ascending order too: each must be the
+  // next unmatched entry above v in v's own row, which cursor[v] points
+  // at.  Symmetric iff every such match holds and every cursor ends at
+  // the end of its row.
+  std::vector<std::size_t> cursor(n, 0);
   std::size_t directed = 0;
-  for (std::uint32_t u = 0; u < adjacency.size(); ++u) {
+  for (std::uint32_t u = 0; u < n; ++u) {
     const auto& au = adjacency[u];
+    std::size_t lower = 0;
     for (std::size_t i = 0; i < au.size(); ++i) {
       const std::uint32_t v = au[i];
-      if (v >= adjacency.size() || v == u) {
+      if (v >= n || v == u) {
         throw std::invalid_argument(
             "Graph::from_sorted_adjacency: bad neighbor");
       }
@@ -23,12 +31,23 @@ Graph Graph::from_sorted_adjacency(
         throw std::invalid_argument(
             "Graph::from_sorted_adjacency: list not sorted/unique");
       }
-      if (!std::binary_search(adjacency[v].begin(), adjacency[v].end(), u)) {
+      if (v > u) continue;
+      const auto& av = adjacency[v];
+      if (cursor[v] == av.size() || av[cursor[v]] != u) {
         throw std::invalid_argument(
             "Graph::from_sorted_adjacency: asymmetric edge");
       }
+      ++cursor[v];
+      ++lower;
     }
+    cursor[u] = lower;
     directed += au.size();
+  }
+  for (std::uint32_t u = 0; u < n; ++u) {
+    if (cursor[u] != adjacency[u].size()) {
+      throw std::invalid_argument(
+          "Graph::from_sorted_adjacency: asymmetric edge");
+    }
   }
   g.adj_ = std::move(adjacency);
   g.edges_ = directed / 2;

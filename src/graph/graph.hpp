@@ -21,7 +21,9 @@ class Graph {
   /// duplicate-free, self-loop-free and symmetric; throws otherwise.
   /// This is the bulk entry point of the conflict-graph builder: streamed
   /// rows are adopted here in one validation pass instead of n·deg sorted
-  /// insertions.
+  /// insertions.  The pass is linear, O(V + E): rows are read in
+  /// ascending order, so each entry below its row is matched against a
+  /// per-vertex cursor into the row it names, with no search.
   static Graph from_sorted_adjacency(
       std::vector<std::vector<std::uint32_t>> adjacency);
 

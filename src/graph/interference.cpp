@@ -200,7 +200,9 @@ std::int64_t interference_reach(const Deployment& d) {
 }
 
 ConflictRows::ConflictRows(const Deployment& d)
-    : d_(d), index_(d.position_index()), by_type_(d.prototiles().size()) {
+    : d_(d), index_(d.position_index()),
+      ascend_(index_ != nullptr && index_->ids_ascend()),
+      by_type_(d.prototiles().size()) {
   const std::vector<Prototile>& protos = d.prototiles();
   for (std::uint32_t t = 0; t < by_type_.size(); ++t) {
     Probe& probe = by_type_[t];
@@ -208,7 +210,12 @@ ConflictRows::ConflictRows(const Deployment& d)
       if (off.is_zero()) continue;  // the sensor itself
       probe.offsets.push_back(off);
       probe.reach = std::max(probe.reach, off.norm_inf());
-      if (index_ != nullptr) probe.disp.push_back(index_->displacement(off));
+      if (index_ == nullptr) continue;
+      probe.disp.push_back(index_->displacement(off));
+      if (probe.disp.back() < 0) {
+        probe.earlier.push_back(
+            static_cast<std::uint32_t>(probe.offsets.size() - 1));
+      }
     }
     if (protos.size() == 1) continue;
     // A type-s partner at offset a - b (a in N_t, b in N_s) conflicts.
@@ -231,32 +238,21 @@ void ConflictRows::build(std::uint32_t u,
                          std::vector<std::uint32_t>& row) const {
   const Probe& probe = by_type_[d_.type_of(u)];
   const Point& pos = d_.position(u);
-  // Interior sensor: every candidate lies inside the position hull, so
-  // its id sits at a fixed linear displacement from u's own cell.
-  bool interior = index_ != nullptr;
-  for (std::size_t a = 0; interior && a < pos.dim(); ++a) {
-    interior = pos[a] - index_->bounds().lo()[a] >= probe.reach &&
-               index_->bounds().hi()[a] - pos[a] >= probe.reach;
-  }
-  const std::int64_t cell = interior ? index_->linear_of(u) : 0;
+  const bool inside = interior(pos, probe);
+  const std::int64_t cell = inside ? index_->linear_of(u) : 0;
   const std::size_t k_max = probe.offsets.size();
   row.resize(k_max);
   std::size_t n = 0;
   for (std::size_t k = 0; k < k_max; ++k) {
     std::uint32_t v = PointIndexer::kInvalid;
-    if (interior) {
+    if (inside) {
       v = index_->id_at(static_cast<std::uint64_t>(cell + probe.disp[k]));
     } else if (index_ != nullptr) {
       v = index_->id_of_sum(pos, probe.offsets[k]);
     } else if (const auto hit = d_.sensor_at(pos + probe.offsets[k])) {
       v = static_cast<std::uint32_t>(*hit);
     }
-    // With several prototiles the offset may come from another type's
-    // prototile than v's; the hit table says whether v's does.
-    if (v != PointIndexer::kInvalid &&
-        (probe.hits.empty() || probe.hits[d_.type_of(v) * k_max + k])) {
-      row[n++] = v;
-    }
+    if (v != PointIndexer::kInvalid && conflicts(probe, v, k)) row[n++] = v;
   }
   row.resize(n);
   // Canonical offsets on a row-major fleet already give ascending ids.

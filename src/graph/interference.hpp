@@ -17,6 +17,10 @@
 // declines, fall back to the seed's hash map.  Conflict rows come from one
 // streamer, ConflictRows, which answers each neighbour probe of an
 // interior sensor with a fixed linear displacement in that id table.
+// The cold greedy plan reads only the partners with smaller ids: when
+// ids ascend with cells those sit at the earlier (negative)
+// displacements, which it probes in one fused first-fit loop
+// (ConflictRows::for_each_earlier).
 #pragma once
 
 #include <cstdint>
@@ -132,6 +136,14 @@ std::int64_t interference_reach(const Deployment& d);
 /// boundary sensors probe position + offset checked, and scattered
 /// deployments hash.  Immutable after construction, so threads may
 /// share one.
+///
+/// Earlier offsets: per prototile, the offsets of negative displacement.
+/// When ids ascend with cells (PointIndexer::ids_ascend: every grid
+/// fleet, and any fleet given in row-major order), a sensor's partners
+/// at those offsets are exactly its partners with smaller ids, the ones
+/// greedy first-fit reads: 12 of 24 at radius 1.  for_each_earlier
+/// visits them in a loop the caller's visitor fuses into, with no call
+/// and no row buffer per sensor.
 class ConflictRows {
  public:
   explicit ConflictRows(const Deployment& d);
@@ -140,19 +152,82 @@ class ConflictRows {
   /// (on row-major fleets the canonical offsets give that order as is).
   void build(std::uint32_t u, std::vector<std::uint32_t>& row) const;
 
+  /// Calls visit(v) once per conflict partner v < u of sensor u, in no
+  /// fixed order.  On an ascending index u probes only its earlier
+  /// offsets: at cell + displacement when interior, checked at
+  /// position + offset otherwise.  Unordered ids and hashed scatters
+  /// stream u's row into `row` and visit the part below u.
+  template <typename Visit>
+  void for_each_earlier(std::uint32_t u, std::vector<std::uint32_t>& row,
+                        Visit&& visit) const;
+
  private:
   struct Probe {
     PointVec offsets;                ///< canonical order, zero excluded
     std::vector<std::int64_t> disp;  ///< per offset; empty when hashed
+    /// The k with disp[k] < 0, the earlier offsets.
+    std::vector<std::uint32_t> earlier;
     /// Several prototiles only: hits[s * offsets.size() + k] is set iff
     /// a type-s sensor at offsets[k] conflicts, i.e. offsets[k] lies in
     /// N_type - N_s.  Empty with one prototile, where every hit does.
     std::vector<char> hits;
     std::int64_t reach = 0;          ///< max l-inf norm of the offsets
   };
+
+  /// Whether every candidate of `probe` around `pos` lies inside the
+  /// position hull, so each partner sits at a fixed linear displacement.
+  bool interior(const Point& pos, const Probe& probe) const {
+    if (index_ == nullptr) return false;
+    for (std::size_t a = 0; a < pos.dim(); ++a) {
+      if (pos[a] - index_->bounds().lo()[a] < probe.reach ||
+          index_->bounds().hi()[a] - pos[a] < probe.reach) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Whether sensor v, found at candidate k of `probe`, conflicts: with
+  /// several prototiles the offset may come from another type's
+  /// prototile than v's, and the hit table says whether v's does.
+  bool conflicts(const Probe& probe, std::uint32_t v, std::size_t k) const {
+    return probe.hits.empty() ||
+           probe.hits[d_.type_of(v) * probe.offsets.size() + k];
+  }
+
   const Deployment& d_;
   const PointIndexer* index_;
+  bool ascend_;  ///< index_ is set and its ids ascend with cells
   std::vector<Probe> by_type_;
 };
+
+template <typename Visit>
+void ConflictRows::for_each_earlier(std::uint32_t u,
+                                    std::vector<std::uint32_t>& row,
+                                    Visit&& visit) const {
+  const Probe& probe = by_type_[d_.type_of(u)];
+  if (ascend_) {
+    const Point& pos = d_.position(u);
+    if (interior(pos, probe)) {
+      const std::int64_t cell = index_->linear_of(u);
+      for (const std::uint32_t k : probe.earlier) {
+        const std::uint32_t v =
+            index_->id_at(static_cast<std::uint64_t>(cell + probe.disp[k]));
+        if (v != PointIndexer::kInvalid && conflicts(probe, v, k)) visit(v);
+      }
+    } else {
+      for (const std::uint32_t k : probe.earlier) {
+        const std::uint32_t v = index_->id_of_sum(pos, probe.offsets[k]);
+        if (v != PointIndexer::kInvalid && conflicts(probe, v, k)) visit(v);
+      }
+    }
+    return;
+  }
+  build(u, row);
+  for (const std::uint32_t v : row) {
+    if (v >= u) break;
+    visit(v);
+  }
+}
 
 }  // namespace latticesched

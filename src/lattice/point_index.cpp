@@ -106,6 +106,10 @@ std::optional<PointIndexer> PointIndexer::try_for_points(
   idx.id_table_.assign(static_cast<std::size_t>(volume), kInvalid);
   idx.linear_of_.resize(pts.size());
   idx.size_ = pts.size();
+  // No branch on the order: a session's fleet is unordered, and a branch
+  // would mispredict on about every other point.
+  std::uint64_t previous = 0;
+  bool ascend = true;
   for (std::uint32_t i = 0; i < pts.size(); ++i) {
     std::uint64_t linear = 0;
     for (std::size_t k = 0; k < d; ++k) {
@@ -117,7 +121,10 @@ std::optional<PointIndexer> PointIndexer::try_for_points(
     }
     idx.id_table_[linear] = i;
     idx.linear_of_[i] = static_cast<std::uint32_t>(linear);
+    ascend &= linear >= previous;
+    previous = linear;
   }
+  idx.ids_ascend_ = ascend;
   return idx;
 }
 

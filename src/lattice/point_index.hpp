@@ -26,6 +26,8 @@
 // A point's grid-linear cell is sum_i (p_i - lo_i) * stride_i, so a fixed
 // offset moves every in-hull point by one fixed linear displacement
 // (`displacement`); hot loops probe neighbours as id_at(cell + disp).
+// When ids ascend with cells (`ids_ascend`), the sign of that
+// displacement also says whether the neighbour's id is smaller.
 //
 // for_points densifies the bounding box, so callers indexing scattered
 // points should bound the admissible grid volume (`try_for_points`) and
@@ -116,6 +118,13 @@ class PointIndexer {
     return linear_of_.empty() ? id : linear_of_[id];
   }
 
+  /// Whether ids ascend with grid-linear cells (linear_of is increasing),
+  /// so a point at a smaller cell has a smaller id.  Always true in the
+  /// grid modes; in for_points mode, true iff the points came in the
+  /// grid's row-major order (holes allowed), as every Box::points() list
+  /// does.  Recorded while the id table fills, one compare per point.
+  bool ids_ascend() const { return ids_ascend_; }
+
   /// Linear displacement of `off`: the cell of p + off is the cell of p
   /// plus displacement(off) whenever both points lie in bounds().
   std::int64_t displacement(const Point& off) const;
@@ -144,6 +153,7 @@ class PointIndexer {
   /// Empty in the dense grid modes; otherwise id -> grid-linear cell.
   std::vector<std::uint32_t> linear_of_;
   bool axis0_fastest_ = false;
+  bool ids_ascend_ = true;
 };
 
 }  // namespace latticesched

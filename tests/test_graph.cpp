@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace latticesched {
 namespace {
 
@@ -75,6 +78,49 @@ TEST(Graph, GreedyCliqueOnCompleteGraph) {
     }
   }
   EXPECT_EQ(g.greedy_clique().size(), 6u);
+}
+
+/// The message from_sorted_adjacency throws on `adjacency`, or "" when it
+/// accepts it.
+std::string adjacency_error(std::vector<std::vector<std::uint32_t>> adjacency) {
+  try {
+    (void)Graph::from_sorted_adjacency(std::move(adjacency));
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Graph, FromSortedAdjacencyAcceptsOnlyValidSymmetricRows) {
+  const std::string asymmetric =
+      "Graph::from_sorted_adjacency: asymmetric edge";
+  // 2 lists 0, but 0 does not list 2.
+  EXPECT_EQ(adjacency_error({{1}, {0}, {0}}), asymmetric);
+  // 0 lists 2, but 2 does not list 0.
+  EXPECT_EQ(adjacency_error({{1, 2}, {0}, {}}), asymmetric);
+  // 0 lists 1 and 2, 2 lists 0, but 1 does not list 0: the match for 2
+  // finds 0's unmatched entry 1 first.
+  EXPECT_EQ(adjacency_error({{1, 2}, {}, {0}}), asymmetric);
+  // 0 lists 1 and 2 lists 0: the entry counts balance, the partners not.
+  EXPECT_EQ(adjacency_error({{1}, {}, {0}}), asymmetric);
+  EXPECT_EQ(adjacency_error({{2, 1}, {0}, {0}}),
+            "Graph::from_sorted_adjacency: list not sorted/unique");
+  EXPECT_EQ(adjacency_error({{1, 1}, {0}}),
+            "Graph::from_sorted_adjacency: list not sorted/unique");
+  EXPECT_EQ(adjacency_error({{0, 1}, {0}}),
+            "Graph::from_sorted_adjacency: bad neighbor");
+  EXPECT_EQ(adjacency_error({{1}, {0, 2}}),
+            "Graph::from_sorted_adjacency: bad neighbor");
+
+  // A 4-cycle 0-1-2-3 plus the chord 0-2.
+  const Graph g = Graph::from_sorted_adjacency(
+      {{1, 2, 3}, {0, 2}, {0, 1, 3}, {0, 2}});
+  EXPECT_EQ(g.size(), 4u);
+  EXPECT_EQ(g.edge_count(), 5u);
+  EXPECT_TRUE(g.has_edge(2, 0));
+  EXPECT_FALSE(g.has_edge(1, 3));
+  EXPECT_EQ(g.neighbors(2), (std::vector<std::uint32_t>{0, 1, 3}));
+  EXPECT_EQ(Graph::from_sorted_adjacency({}).size(), 0u);
 }
 
 }  // namespace

@@ -8,11 +8,15 @@
 // small-delta steps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 
 #include "core/plan_session.hpp"
 #include "core/scenario.hpp"
 #include "tiling/shapes.hpp"
+#include "tune/knob_space.hpp"
+#include "tune/tune_cache.hpp"
+#include "tune/tuner.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -264,6 +268,60 @@ TEST(PlanSession, WarmGreedyStaysExactOverLongDeltaChains) {
   EXPECT_EQ(session.stats().graph_builds, 0u);
   EXPECT_EQ(session.stats().graph_patches, 0u);
   EXPECT_EQ(session.stats().warm_greedy, 8u);
+}
+
+// `auto` hands its delegate its request, region stats included.  With a
+// tune-cache winner naming `region-greedy`, a replan of {auto,
+// region-greedy} runs two region-greedy plans in one fan-out; each
+// backend counts into its own slot, so the session's counts do not
+// depend on the pool width (and the TSan job sees no shared counter).
+TEST(PlanSession, RegionCountsOfAutoAndRegionGreedyDoNotDependOnThreads) {
+  // Winners for the grid before and after the delta below.
+  PointVec cells = Box::cube(2, 0, 5).points();
+  const Deployment before =
+      Deployment::uniform(cells, shapes::chebyshev_ball(2, 1));
+  cells.erase(std::find(cells.begin(), cells.end(), Point{1, 1}));
+  const Deployment after =
+      Deployment::uniform(cells, shapes::chebyshev_ball(2, 1));
+  tune::TuneCache cache;
+  for (const Deployment* d : {&before, &after}) {
+    PlanRequest probe;
+    probe.deployment = d;
+    probe.tune_family = "grid";
+    cache.record_winner(tune::fingerprint_of(probe),
+                        tune::default_config("region-greedy"));
+  }
+  const auto stats_at = [&](std::size_t threads) {
+    set_parallel_threads(threads);
+    SessionConfig config;
+    config.backends = {"auto", "region-greedy"};
+    config.tune_cache = &cache;
+    config.tune_family = "grid";
+    PlanSession session(grid_deployment(6), config);
+    std::vector<PlanResult> results = session.replan();
+    DeploymentDelta delta;
+    delta.remove_sensors = {Point{1, 1}};
+    session.apply(delta);
+    for (const PlanResult& r : session.replan()) results.push_back(r);
+    set_parallel_threads(0);
+    for (const PlanResult& r : results) {
+      EXPECT_TRUE(r.ok) << r.backend << ": " << r.error;
+      if (r.backend == "auto") EXPECT_EQ(r.tuned, "cache-hit");
+    }
+    return session.stats();
+  };
+  const PlanSession::Stats serial = stats_at(1);
+  // The delegate's cold plan and region-greedy's own.
+  EXPECT_EQ(serial.regions, 2u);
+  EXPECT_EQ(serial.regions_replanned, 2u);
+  EXPECT_GT(serial.stitch_recolored, 0u);
+  for (int round = 0; round < 4; ++round) {
+    const PlanSession::Stats wide = stats_at(4);
+    EXPECT_EQ(wide.regions, serial.regions);
+    EXPECT_EQ(wide.regions_replanned, serial.regions_replanned);
+    EXPECT_EQ(wide.seam_sensors, serial.seam_sensors);
+    EXPECT_EQ(wide.stitch_recolored, serial.stitch_recolored);
+  }
 }
 
 // The acceptance property: random delta sequences on random scenarios,

@@ -6,14 +6,16 @@
 // span 1-3 dimensions and 1-2 prototiles, some with shuffled ids and
 // some with a repeated position.  Each is checked against brute force:
 // the constructor error, sensor_at, every conflict row, the conflict
-// graph, the collision checker against its reference, and the
-// for_points round trip.
+// graph, the cold greedy plan (whose fused pass reads only the earlier
+// offsets when ids ascend with cells), the collision checker against its
+// reference, and the for_points round trip with its ids_ascend flag.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 
 #include "core/collision.hpp"
+#include "core/region_shard.hpp"
 #include "graph/interference.hpp"
 #include "lattice/point_index.hpp"
 #include "util/rng.hpp"
@@ -121,6 +123,7 @@ void expect_same_report(const CollisionReport& got,
 TEST(IndexProperty, BothIndexPathsAgreeWithBruteForce) {
   Rng rng(20081271);
   int dense_built = 0, hashed_built = 0, rejected = 0;
+  int ascending = 0, unordered = 0;
   int collided = 0, clean = 0;
   for (int index = 0; index < kCases; ++index) {
     SCOPED_TRACE("case " + std::to_string(index));
@@ -172,6 +175,7 @@ TEST(IndexProperty, BothIndexPathsAgreeWithBruteForce) {
       ASSERT_EQ(row, want) << "row " << u;
       ASSERT_EQ(g.neighbors(u), want) << "graph row " << u;
     }
+    EXPECT_EQ(plan_greedy(d), greedy_coloring(g));
 
     // The collision checker against its reference on random slot tables;
     // small periods make most of them collide.
@@ -196,12 +200,21 @@ TEST(IndexProperty, BothIndexPathsAgreeWithBruteForce) {
         EXPECT_EQ(idx.id_of(c.positions[i]), i);
       }
       EXPECT_EQ(idx.points(), c.positions);
+      bool ascend = true;
+      for (std::uint32_t i = 1; i < idx.size(); ++i) {
+        ascend = ascend && idx.linear_of(i - 1) < idx.linear_of(i);
+      }
+      EXPECT_EQ(idx.ids_ascend(), ascend);
+      EXPECT_EQ(d.position_index()->ids_ascend(), ascend);
+      ++(ascend ? ascending : unordered);
     }
   }
   // Every kind of case must have fired.
   EXPECT_GT(dense_built, 0);
   EXPECT_GT(hashed_built, 0);
   EXPECT_GT(rejected, 0);
+  EXPECT_GT(ascending, 0);
+  EXPECT_GT(unordered, 0);
   EXPECT_GT(collided, 0);
   EXPECT_GT(clean, 0);
 }

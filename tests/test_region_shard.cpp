@@ -68,6 +68,23 @@ TEST(RegionShard, ColdPlanIdenticalToSerialGreedy) {
       EXPECT_EQ(plan_greedy(d), serial_greedy(d)) << "n=" << n << " r=" << r;
     }
   }
+  // Radius 4: a 9x9 block is a clique, so sensors take slots past 64,
+  // beyond the fused pass's one-word mask.
+  const Deployment wide = grid_deployment(20, 4);
+  EXPECT_GE(color_count(plan_greedy(wide)), 81u);
+  EXPECT_EQ(plan_greedy(wide), serial_greedy(wide)) << "r=4";
+  // A grid-large prefix: 31 full rows of 32 and a last row of 8, so the
+  // hull has holes and the ids still ascend with cells.
+  for (const std::int64_t r : {1, 2}) {
+    ScenarioParams params;
+    params.n = 1000;
+    params.radius = r;
+    const Deployment d =
+        ScenarioRegistry::global().build("grid-large", params).deployment;
+    ASSERT_EQ(d.size(), 1000u);
+    ASSERT_TRUE(d.position_index()->ids_ascend());
+    EXPECT_EQ(plan_greedy(d), serial_greedy(d)) << "grid-large r=" << r;
+  }
 }
 
 TEST(RegionShard, ColdPlanIdenticalOnMixedPrototiles) {
