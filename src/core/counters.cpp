@@ -10,11 +10,7 @@ namespace latticesched {
 void Counters::merge(const Counters& other) {
   for (const CounterGroup& group : kCounterGroups) {
     for (const CounterField& f : group.fields) {
-      if (f.merge == MergeRule::kMax) {
-        this->*f.number = std::max(this->*f.number, other.*f.number);
-      } else {
-        this->*f.number += other.*f.number;
-      }
+      this->*f.number += other.*f.number;
     }
   }
 }
@@ -32,14 +28,6 @@ Counters counters_between(const CacheStats& before, const CacheStats& after) {
   c.tune_misses = after.tune.misses - before.tune.misses;
   c.tune_searches = after.tune.searches - before.tune.searches;
   c.tune_trials_run = after.tune.trials - before.tune.trials;
-  return c;
-}
-
-Counters counters_from_session(const PlanSession::Stats& stats) {
-  Counters c;
-  c.regions = stats.regions;
-  c.seam_sensors = stats.seam_sensors;
-  c.stitch_recolored = stats.stitch_recolored;
   return c;
 }
 

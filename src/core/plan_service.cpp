@@ -79,9 +79,6 @@ BatchReport PlanService::run(const std::vector<BatchItem>& items) {
 
   BatchReport report;
   report.items.resize(items.size());
-  // Each item's session counters, merged in request order after the
-  // fan-out.
-  std::vector<Counters> shares(items.size());
   // Item fan-out; each item's own plan_all fan-out degrades to serial
   // inside this region (the pool never nests), so the parallelism grain
   // is one scenario per worker.
@@ -123,7 +120,6 @@ BatchReport PlanService::run(const std::vector<BatchItem>& items) {
         }
         out.results = out.steps.back().results;
       }
-      shares[i] = counters_from_session(session.stats());
     } catch (const std::exception& e) {
       out.built = false;
       out.error = e.what();
@@ -137,7 +133,6 @@ BatchReport PlanService::run(const std::vector<BatchItem>& items) {
                             .count();
   report.counters =
       counters_between(before, cache_stats(cache_, tune_cache_));
-  for (const Counters& share : shares) report.counters.merge(share);
   return report;
 }
 

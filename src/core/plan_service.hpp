@@ -38,13 +38,13 @@ struct BatchItem {
   TorusSearchConfig search;
   SaConfig sa;
   bool verify = true;
-  /// Ignored: `region-greedy` plans every deployment as one region.  The
-  /// field stays only because perfbench/workloads.cpp assigns it, and it
-  /// still ships over the distributed wire (protocol v9).
+  /// Ignored: no backend shards a deployment into regions.  The field
+  /// stays only because perfbench/workloads.cpp assigns it; it does not
+  /// ship over the wire.
   std::size_t regions = 1;
   /// Ignored: no backend reads a region halo.  The field stays only
-  /// because perfbench/workloads.cpp assigns it, and it still ships over
-  /// the distributed wire (protocol v9).
+  /// because perfbench/workloads.cpp assigns it; it does not ship over
+  /// the wire.
   std::int64_t region_halo = -1;
   /// Optional mutation trace in the parse_mutation_script text format
   /// (core/plan_session.hpp); overrides the scenario's own trace.  The
@@ -96,7 +96,7 @@ struct BatchItemReport {
 
 struct BatchReport {
   std::vector<BatchItemReport> items;  ///< in request order
-  /// Cache, search, region and tuning counters of THIS run.
+  /// Cache and tuning counters of THIS run.
   Counters counters;
   /// Worker processes that died (or exited nonzero) during a distributed
   /// run (src/dist); their shards were reassigned, so a nonzero count

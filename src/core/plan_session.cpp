@@ -475,6 +475,7 @@ void PlanSession::apply(const DeploymentDelta& delta) {
   // (kWarmRepairDirtyDenominator) the seed rows probe more cells than
   // one cold plan would.
   std::optional<PlanWarmStart> next_warm;
+  std::uint64_t recolored = 0;
   if (dirty.size() * kWarmRepairDirtyDenominator <= next.size() &&
       warm_.has_value()) {
     // Carry the greedy table onto the new ids and repair it from every
@@ -501,8 +502,7 @@ void PlanSession::apply(const DeploymentDelta& delta) {
       new_rows.build(u, row);
       seeds.insert(seeds.end(), row.begin(), row.end());
     }
-    warm.recolored = warm_->recolored +
-                     repair_greedy_table(new_rows, warm.greedy_colors, seeds);
+    recolored = repair_greedy_table(new_rows, warm.greedy_colors, seeds);
   }
 
   // --- commit -----------------------------------------------------------
@@ -517,6 +517,7 @@ void PlanSession::apply(const DeploymentDelta& delta) {
   base_.tiling = nullptr;
   base_.conflict_graph = nullptr;
   ++stats_.deltas;
+  stats_.stitch_recolored += recolored;
 }
 
 std::vector<PlanResult> PlanSession::replan() {
@@ -548,8 +549,8 @@ std::vector<PlanResult> PlanSession::replan() {
     }
   }
 
-  // Warm start: the greedy table apply() kept exact.  greedy and
-  // region-greedy both return it as is.
+  // Warm start: the greedy table apply() kept exact, which greedy
+  // returns as is.
   const bool warm =
       warm_.has_value() &&
       std::any_of(selected.begin(), selected.end(), [](const Planner* p) {
@@ -563,37 +564,22 @@ std::vector<PlanResult> PlanSession::replan() {
   // Backend fan-out: results land in their request slots, so the output
   // order is the request order at any thread count.  Backends that
   // themselves use the pool (tiling search) degrade to serial inside
-  // this region — the pool never nests.  Each backend counts into its
-  // own stats slot (`auto` hands its slot to its delegate, which may be
-  // `region-greedy`), summed in request order below.
+  // this region — the pool never nests.
   std::vector<PlanResult> results(selected.size());
-  std::vector<RegionShardStats> backend_stats(selected.size());
   parallel_for(0, selected.size(), [&](std::size_t i) {
-    PlanRequest own = request;
-    own.region_stats = &backend_stats[i];
-    results[i] = selected[i]->plan(own);
+    results[i] = selected[i]->plan(request);
   });
 
-  if (warm) {
-    warm_->recolored = 0;  // reported by this replan
-  } else {
+  if (!warm) {
     // A cold greedy table is this deployment's fixpoint: it becomes the
     // table the following deltas repair.
     for (std::size_t i = 0; i < selected.size(); ++i) {
       if (selected[i]->wants_warm_start() && results[i].ok) {
-        warm_ = PlanWarmStart{results[i].slots.slot, 0};
+        warm_ = PlanWarmStart{results[i].slots.slot};
         break;
       }
     }
   }
-  std::uint64_t regions = 0;
-  for (const RegionShardStats& counted : backend_stats) {
-    regions += counted.regions;
-    stats_.regions_replanned += counted.regions_planned;
-    stats_.seam_sensors += counted.seam_sensors;
-    stats_.stitch_recolored += counted.stitch_recolored;
-  }
-  stats_.regions = std::max(stats_.regions, regions);
   ++stats_.replans;
   return results;
 }

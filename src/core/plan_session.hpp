@@ -11,13 +11,13 @@
 //   * torus searches stay memoized in the session's TilingCache (the
 //     tiling/mobile backends re-search only when the prototile geometry
 //     itself changed — a new cache key);
-//   * the greedy fixpoint table — the slot table `greedy` and
-//     `region-greedy` both return — is the session's one warm state, and
+//   * the greedy fixpoint table — the slot table `greedy` returns,
+//     under either of its names — is the session's one warm state, and
 //     apply() keeps it exact: it carries the table onto the new sensor
 //     ids and repairs it (incremental_greedy_coloring over rows streamed
 //     from the new deployment, no graph) from the changed sensors plus
-//     their old and new conflict rows.  replan() hands it to both
-//     backends, which return it as is;
+//     their old and new conflict rows.  replan() hands it to `greedy`,
+//     which returns it as is;
 //   * only the order-sensitive heuristics (`welsh-powell`, `dsatur`,
 //     `annealing`) and `auto` read a conflict graph.  replan() builds it
 //     with build_conflict_graph when one of them is selected and keeps it
@@ -126,8 +126,8 @@ std::string mutation_trace_to_script(const MutationTrace& trace,
 /// while dirty * denominator <= fleet, i.e. up to a quarter of the
 /// fleet.  Past that the repair's seed rows probe more candidate cells
 /// than one cold greedy plan would; the table is dropped and the next
-/// greedy / region-greedy replan runs cold.  Warm and cold tables are
-/// identical (pinned by the session property tests).
+/// greedy replan runs cold.  Warm and cold tables are identical (pinned
+/// by the session property tests).
 inline constexpr std::size_t kWarmRepairDirtyDenominator = 4;
 
 struct SessionConfig {
@@ -138,8 +138,8 @@ struct SessionConfig {
   SaConfig sa;
   bool verify = true;
   std::uint32_t channels = 1;
-  /// Ignored: `region-greedy` plans every deployment as one region.  The
-  /// field stays only because perfbench/workloads.cpp assigns it.
+  /// Ignored: no backend shards a deployment into regions.  The field
+  /// stays only because perfbench/workloads.cpp assigns it.
   std::size_t regions = 1;
   /// Ignored: no backend reads a region halo.  The field stays only
   /// because perfbench/workloads.cpp assigns it.
@@ -212,15 +212,11 @@ class PlanSession {
     /// perfbench/workloads.cpp reads it.
     std::uint64_t graph_patches = 0;
     std::uint64_t warm_greedy = 0;    ///< replans handed the warm table
-    /// 1 once a `region-greedy` replan planned a non-empty fleet.
-    std::uint64_t regions = 0;
-    std::uint64_t regions_replanned = 0;  ///< cold region-greedy plans
-    /// Always 0: one region has no seams.  The field stays only because
+    /// Always 0: no region has seams.  The field stays only because
     /// perfbench/workloads.cpp reads it.
     std::uint64_t seam_sensors = 0;
-    /// On warm region-greedy replans, PlanWarmStart::recolored: the
-    /// slots apply()'s repairs changed since the previous replan, summed
-    /// over those deltas.
+    /// Slots apply()'s warm repairs changed, summed over the deltas (a
+    /// slot changed by two deltas counts twice).
     std::uint64_t stitch_recolored = 0;
   };
   const Stats& stats() const { return stats_; }
@@ -248,8 +244,8 @@ class PlanSession {
   std::optional<Graph> graph_;
 
   /// The exact greedy fixpoint table of `deployment_`, repaired by every
-  /// apply().  Absent until a greedy / region-greedy plan ran (or after a
-  /// delta past kWarmRepairDirtyDenominator).
+  /// apply().  Absent until a greedy plan ran (or after a delta past
+  /// kWarmRepairDirtyDenominator).
   std::optional<PlanWarmStart> warm_;
 
   Stats stats_;

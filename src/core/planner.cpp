@@ -130,53 +130,37 @@ class ColoringPlanner final : public Planner {
 };
 
 // First-fit in index order over conflict rows streamed one at a time
-// (no graph is materialized) under two names: `greedy`, and
-// `region-greedy`, which plans the deployment as one region and reports
-// RegionShardStats (core/region_shard.hpp).  Warm, both return the
-// session's table, which PlanSession::apply keeps exact.
+// (no graph is materialized).  Registered as `greedy` and as
+// `region-greedy`, the retired region-sharded path's name, which old
+// scripts and tune-cache winners still carry; that name returns the same
+// row and stays out of the default set.  Warm, it returns the session's
+// table, which PlanSession::apply keeps exact.
 class GreedyPlanner final : public Planner {
  public:
-  explicit GreedyPlanner(bool region_named) : region_named_(region_named) {}
-  std::string name() const override {
-    return region_named_ ? "region-greedy" : "greedy";
-  }
+  GreedyPlanner(std::string name, bool in_default_set)
+      : name_(std::move(name)), in_default_set_(in_default_set) {}
+  std::string name() const override { return name_; }
   bool wants_warm_start() const override { return true; }
+  bool in_default_set() const override { return in_default_set_; }
 
  protected:
   Raw compute(const PlanRequest& request) const override {
     const Deployment& d = *request.deployment;
     const PlanWarmStart* warm = request.warm;
-    if (warm != nullptr && warm->greedy_colors.size() != d.size()) {
-      warm = nullptr;
-    }
     Raw raw;
-    raw.slots.slot = warm != nullptr ? warm->greedy_colors : plan_greedy(d);
+    raw.slots.slot = warm != nullptr && warm->greedy_colors.size() == d.size()
+                         ? warm->greedy_colors
+                         : plan_greedy(d);
     raw.slots.period = color_count(raw.slots.slot);
-    std::ostringstream os;
-    if (region_named_) {
-      const std::uint64_t regions = d.size() > 0 ? 1 : 0;
-      if (RegionShardStats* stats = request.region_stats) {
-        stats->regions += regions;
-        if (warm != nullptr) {
-          stats->stitch_recolored += warm->recolored;
-        } else {
-          stats->regions_planned += regions;
-        }
-      }
-      raw.slots.source = "region-greedy";
-      os << "region-sharded greedy (" << regions << " region(s), "
-         << raw.slots.period << " slots)";
-    } else {
-      raw.slots.source = "coloring-greedy";
-      os << "conflict-graph coloring (greedy), " << raw.slots.period
-         << " slots";
-    }
-    raw.detail = os.str();
+    raw.slots.source = "coloring-greedy";
+    raw.detail = "conflict-graph coloring (greedy), " +
+                 std::to_string(raw.slots.period) + " slots";
     return raw;
   }
 
  private:
-  bool region_named_;
+  std::string name_;
+  bool in_default_set_;
 };
 
 class TdmaPlanner final : public Planner {
@@ -345,14 +329,15 @@ PlannerRegistry& PlannerRegistry::global() {
   static PlannerRegistry* registry = [] {
     auto* r = new PlannerRegistry();
     r->register_planner(std::make_unique<TilingPlanner>());
-    r->register_planner(std::make_unique<GreedyPlanner>(false));
+    r->register_planner(std::make_unique<GreedyPlanner>("greedy", true));
     r->register_planner(
         std::make_unique<ColoringPlanner>(ColoringHeuristic::kWelshPowell));
     r->register_planner(
         std::make_unique<ColoringPlanner>(ColoringHeuristic::kDsatur));
     r->register_planner(
         std::make_unique<ColoringPlanner>(ColoringHeuristic::kAnnealing));
-    r->register_planner(std::make_unique<GreedyPlanner>(true));
+    r->register_planner(
+        std::make_unique<GreedyPlanner>("region-greedy", false));
     r->register_planner(std::make_unique<TdmaPlanner>());
     r->register_planner(std::make_unique<MobilePlanner>());
     r->register_planner(std::make_unique<tune::AutoPlanner>());

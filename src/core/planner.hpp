@@ -14,8 +14,8 @@
 //   welsh-powell  first-fit by decreasing degree
 //   dsatur        Brélaz saturation coloring
 //   annealing     simulated-annealing coloring (Wang–Ansari stand-in)
-//   region-greedy `greedy` under a second name: one region, reported
-//                 through RegionShardStats (core/region_shard.hpp)
+//   region-greedy `greedy` under a second name (the retired region-sharded
+//                 path's); outside the default set
 //   tdma          one slot per sensor (the paper's non-scaling foil)
 //   mobile        tiling schedule + the Conclusions' location-based rule
 //                 (2-D only; PlanResult::mobile carries the scheduler)
@@ -68,15 +68,10 @@ class TuneCache;
 /// it exact across deltas (greedy first-fit is the unique fixpoint of
 /// c(u) = mex of lower-neighbor colors, so repairing the changed region
 /// converges to the cold answer — see graph/coloring.hpp), and `greedy`
-/// and `region-greedy` return it as is.
+/// returns it as is.
 struct PlanWarmStart {
   /// Greedy slot table of the CURRENT deployment.
   std::vector<std::uint32_t> greedy_colors;
-  /// Slots the session's repairs changed since the table was last handed
-  /// to a replan.  After several deltas this is a sum over them (a slot
-  /// changed by two deltas counts twice).  region-greedy reports it as
-  /// its stitch_recolored.
-  std::uint64_t recolored = 0;
 };
 
 struct PlanRequest {
@@ -124,17 +119,16 @@ struct PlanRequest {
   /// cold plan.  Must outlive the call.
   const PlanWarmStart* warm = nullptr;
 
-  /// Ignored: `region-greedy` plans every deployment as one region.  The
-  /// field stays only because perfbench/workloads.cpp assigns it.
+  /// Ignored: no backend shards a deployment into regions.  The field
+  /// stays only because perfbench/workloads.cpp assigns it.
   std::size_t regions = 1;
 
   /// Ignored: no backend reads a region halo.  The field stays only
   /// because perfbench/workloads.cpp assigns it.
   std::int64_t region_halo = -1;
 
-  /// When non-null, `region-greedy` accumulates its region and recolor
-  /// counters here (flows into SessionStats and the batch report
-  /// footer).
+  /// Ignored: no backend writes a counter.  The field stays only because
+  /// perfbench/workloads.cpp assigns it.
   RegionShardStats* region_stats = nullptr;
 
   /// Persistent tuning cache for the `auto` backend (tune/tune_cache.hpp).
@@ -242,16 +236,17 @@ class Planner {
   /// prebuilds the graph once iff some selected backend wants it).
   virtual bool wants_conflict_graph() const { return false; }
 
-  /// Whether the backend can exploit PlanRequest::warm (`greedy` and
-  /// `region-greedy` return its table).  Such a backend's slot table is
+  /// Whether the backend can exploit PlanRequest::warm (`greedy`, under
+  /// either name, returns its table).  Such a backend's slot table is
   /// the greedy fixpoint, which PlanSession keeps and repairs as the
   /// next replan's warm start.
   virtual bool wants_warm_start() const { return false; }
 
   /// Whether plan_all's default "all backends" selection includes this
-  /// backend.  The `auto` meta-backend opts out: it delegates to another
-  /// registered backend, so an "all" sweep running it too would plan the
-  /// winning backend twice.  Explicitly naming it always works.
+  /// backend.  Two names opt out because an "all" sweep running them
+  /// would plan another backend's answer twice: the `auto` meta-backend
+  /// delegates to a registered backend, and `region-greedy` is `greedy`.
+  /// Explicitly naming either always works.
   virtual bool in_default_set() const { return true; }
 
   /// Full pipeline: compute slots, verify, attach diagnostics.  Never
@@ -274,7 +269,7 @@ class Planner {
 };
 
 /// Name-indexed planner collection.  The global() registry comes
-/// pre-populated with the eight built-in backends; register_planner adds
+/// pre-populated with the nine built-in backend names; register_planner adds
 /// custom ones (replacing any existing planner of the same name).
 class PlannerRegistry {
  public:

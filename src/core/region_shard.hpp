@@ -1,7 +1,7 @@
-// The greedy first-fit table of `greedy` and `region-greedy`, planned
-// cold and repaired warm, from conflict rows streamed one at a time
-// (ConflictRows): neither the all-pairs conflict graph nor any block of
-// it is ever materialized.
+// The greedy first-fit table of `greedy` (also registered as
+// `region-greedy`), planned cold and repaired warm, from conflict rows
+// streamed one at a time (ConflictRows): neither the all-pairs conflict
+// graph nor any block of it is ever materialized.
 //
 //   1. plan_greedy: the cold plan, one first-fit pass in index order
 //      that reads only the partners with smaller ids, whose slots are
@@ -17,12 +17,11 @@
 //      unique fixpoint of c(u) = mex{c(v) : v ~ u, v < u}, so the
 //      repaired table is EXACTLY the cold plan of the new deployment.
 //
-// Both are exactly greedy_coloring(build_conflict_graph(d)).
-// `region-greedy` is `greedy` under a second name: it plans every
-// deployment as one region and still reports RegionShardStats.  The
-// rectangular shards and their seam stitch are gone: on 250k- and
-// 1M-sensor grids no shard count planned faster than one region, at
-// any thread count (EXPERIMENTS.md).
+// Both are exactly greedy_coloring(build_conflict_graph(d)).  The
+// rectangular region shards and their seam stitch are gone: on 250k-
+// and 1M-sensor grids no shard count planned faster than one region,
+// at any thread count (EXPERIMENTS.md).  The header keeps its name
+// because perfbench/workloads.cpp includes it.
 #pragma once
 
 #include <cstdint>
@@ -33,18 +32,11 @@
 
 namespace latticesched {
 
-/// Counters of `region-greedy` plans.  PlanSession accumulates them into
-/// SessionStats; the batch service and the distributed coordinator merge
-/// them into the report footer.
+/// Never written: no backend counts region work any more.  The struct
+/// and its two fields stay only because perfbench/workloads.cpp reads
+/// them through PlanRequest::region_stats.
 struct RegionShardStats {
-  std::uint64_t regions = 0;          ///< 1 per plan of a non-empty fleet
-  std::uint64_t regions_planned = 0;  ///< 1 per such plan colored cold
-  /// Always 0: one region has no seams.  The field stays only because
-  /// perfbench/workloads.cpp reads it.
   std::uint64_t seam_sensors = 0;
-  /// Slots the session's repairs changed since the previous replan
-  /// (PlanWarmStart::recolored), reported by warm plans; a cold plan
-  /// recolors nothing.
   std::uint64_t stitch_recolored = 0;
 };
 

@@ -444,14 +444,10 @@ std::string batch_items_to_json(const std::vector<BatchItem>& items) {
        << ", \"trace_script\": \"" << json_escape(item.trace_script)
        << "\", \"backends\": \"" << json_escape(backends)
        << "\", \"verify\": " << (item.verify ? "true" : "false")
-       << ", \"regions\": " << item.regions
-       << ", \"region_halo\": " << item.region_halo
        << ", \"max_period_cells\": " << item.search.max_period_cells
        << ", \"node_limit\": " << item.search.node_limit
        << ", \"require_all_prototiles\": "
        << (item.search.require_all_prototiles ? "true" : "false")
-       << ", \"use_dense_engine\": "
-       << (item.search.use_dense_engine ? "true" : "false")
        << ", \"use_parallel\": "
        << (item.search.use_parallel ? "true" : "false")
        << ", \"sa_max_iters\": " << item.sa.max_iters
@@ -485,25 +481,18 @@ std::vector<BatchItem> parse_batch_items_json(const std::string& json) {
     item.trace_script = json_field(line, "trace_script");
     item.backends = split_csv_list(json_field(line, "backends"));
     item.verify = json_field(line, "verify") == "true";
-    item.regions = json_u64(line, "regions");
-    item.region_halo = json_i64(line, "region_halo");
     item.search.max_period_cells = json_i64(line, "max_period_cells");
     item.search.node_limit = json_u64(line, "node_limit");
     item.search.require_all_prototiles =
         json_field(line, "require_all_prototiles") == "true";
-    item.search.use_dense_engine =
-        json_field(line, "use_dense_engine") == "true";
     item.search.use_parallel = json_field(line, "use_parallel") == "true";
     item.sa.max_iters = json_u64(line, "sa_max_iters");
     item.sa.initial_temperature = json_double(line, "sa_initial_temperature");
     item.sa.cooling = json_double(line, "sa_cooling");
     item.sa.seed = json_u64(line, "sa_seed");
     item.sa.restarts = json_u64(line, "sa_restarts");
-    // Optional (absent in pre-v7 payloads): auto-backend tuning budgets.
-    if (line.find("\"tune_trials\": ") != std::string::npos) {
-      item.tune_trials = json_u64(line, "tune_trials");
-      item.tune_budget_ms = json_u64(line, "tune_budget_ms");
-    }
+    item.tune_trials = json_u64(line, "tune_trials");
+    item.tune_budget_ms = json_u64(line, "tune_budget_ms");
     items.push_back(std::move(item));
   }
   return items;

@@ -57,7 +57,14 @@ namespace latticesched::dist {
 /// v9: the batch-report footer and the CLOSE body lost the "search"
 /// group (the work-stealing search and the AVX2 kernels it counted are
 /// gone) — a v8 peer would reject a v9 body for the missing group.
-inline constexpr int kProtocolVersion = 9;
+/// v10: the batch-report footer and the CLOSE body lost the "regions"
+/// group (one greedy planner counts no regions); the CLOSE "session"
+/// object dropped "graph_patches" and "regions_replanned" and carries
+/// the warm-repair count as "recolored"; batch items stopped shipping
+/// "regions", "region_halo" and "use_dense_engine" (both engines return
+/// the same tilings) — a v9 peer would reject a v10 body for the
+/// missing group and keys.
+inline constexpr int kProtocolVersion = 10;
 
 /// Frames larger than this are a protocol error, not an allocation —
 /// guards the reader against garbage length prefixes.

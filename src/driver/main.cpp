@@ -39,10 +39,9 @@
 // coordinator's socketpair with the planning server's connection loop.
 //
 // --serve runs the TCP planning server (src/serve): long-lived sessions
-// over the wire protocol (dist/wire.hpp, v9), many clients multiplexed
+// over the wire protocol (dist/wire.hpp, v10), many clients multiplexed
 // over one shared pool and TilingCache, stopped gracefully by
-// SIGTERM/SIGINT.  --listen is the same listener worn as a remote
-// worker (its ASSIGN verb serves coordinator-style batches).
+// SIGTERM/SIGINT; its ASSIGN verb also serves coordinator-style batches.
 // --connect host:port points this driver at such a server: every
 // scenario/backend/steps flag works unchanged, the batch runs through
 // server sessions, and --cache-stats reports the per-session counters
@@ -173,8 +172,8 @@ void stop_signal_handler(int) {
   (void)!::write(g_stop_pipe[1], &byte, 1);
 }
 
-/// `latticesched --serve` / `--listen`: run a PlanServer until a stop
-/// signal, then shut down gracefully and report what was served.
+/// `latticesched --serve`: run a PlanServer until a stop signal, then
+/// shut down gracefully and report what was served.
 int run_serve(const CliParser& cli) {
   serve::ServerConfig config;
   config.host = cli.get_string("host");
@@ -302,10 +301,6 @@ int run(int argc, char** argv) {
                "run the TCP planning server on --host/--port (session "
                "verbs and worker ASSIGN; SIGTERM/SIGINT stop it "
                "gracefully)");
-  cli.add_flag("listen", "false",
-               "alias of --serve for remote-worker mode: the same "
-               "listener serves ASSIGN batches a coordinator-style "
-               "client can drive");
   cli.add_flag("host", "127.0.0.1",
                "bind address for --serve (0.0.0.0 = any interface)");
   cli.add_int_flag("port", 0, 0, 65535,
@@ -332,21 +327,13 @@ int run(int argc, char** argv) {
   if (cli.get_bool("list-backends")) {
     // One line per backend, then its tunable knobs (the same registry
     // the auto backend searches) with defaults and ranges.
-    const auto print_knobs = [](const std::vector<tune::KnobSpec>& knobs) {
-      for (const tune::KnobSpec& k : knobs) {
+    for (const std::string& name : PlannerRegistry::global().names()) {
+      std::printf("%s\n", name.c_str());
+      for (const tune::KnobSpec& k :
+           tune::KnobSpace::global().knobs_for(name)) {
         std::printf("    %-32s default %-12g range [%g, %g]  %s\n",
                     k.name.c_str(), k.def, k.min, k.max, k.doc.c_str());
       }
-    };
-    for (const std::string& name : PlannerRegistry::global().names()) {
-      std::printf("%s\n", name.c_str());
-      print_knobs(tune::KnobSpace::global().knobs_for(name));
-    }
-    const std::vector<tune::KnobSpec> session_knobs =
-        tune::KnobSpace::global().knobs_for("");
-    if (!session_knobs.empty()) {
-      std::printf("(session-level)\n");
-      print_knobs(session_knobs);
     }
     return 0;
   }
@@ -376,7 +363,7 @@ int run(int argc, char** argv) {
     return 0;
   }
 
-  if (cli.get_bool("serve") || cli.get_bool("listen")) {
+  if (cli.get_bool("serve")) {
     if (!cli.get_string("connect").empty()) {
       std::fprintf(stderr, "--serve and --connect are mutually exclusive\n");
       return 2;
@@ -610,10 +597,10 @@ int run(int argc, char** argv) {
         std::fprintf(
             out,
             "cache-stats: %s: %llu replan(s), %llu delta(s), %llu "
-            "region(s) replanned\n",
+            "slot(s) recolored\n",
             scope.c_str(), static_cast<unsigned long long>(s.session.replans),
             static_cast<unsigned long long>(s.session.deltas),
-            static_cast<unsigned long long>(s.session.regions_replanned));
+            static_cast<unsigned long long>(s.session.stitch_recolored));
         std::fputs(counters_to_text(s.counters, scope).c_str(), out);
       }
       std::fprintf(out, "cache-stats: server %s: %zu session(s)\n",

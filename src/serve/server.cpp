@@ -28,16 +28,15 @@ namespace {
 /// (stop() wakes it at once).
 constexpr int kAcceptSliceMs = 200;
 
-/// The PlanSession::Stats fields the CLOSE "session" object carries
-/// (the region fields ride in the counters groups).
+/// The PlanSession::Stats fields the CLOSE "session" object carries,
+/// under their wire keys.
 constexpr std::pair<const char*, std::uint64_t PlanSession::Stats::*>
     kSessionFields[] = {
         {"replans", &PlanSession::Stats::replans},
         {"deltas", &PlanSession::Stats::deltas},
         {"graph_builds", &PlanSession::Stats::graph_builds},
-        {"graph_patches", &PlanSession::Stats::graph_patches},  // always 0
         {"warm_greedy", &PlanSession::Stats::warm_greedy},
-        {"regions_replanned", &PlanSession::Stats::regions_replanned},
+        {"recolored", &PlanSession::Stats::stitch_recolored},
 };
 
 }  // namespace
@@ -546,8 +545,7 @@ void PlanServer::handle_close(Connection& conn, const std::string& body) {
   sessions_closed_.fetch_add(1, std::memory_order_relaxed);
 
   std::lock_guard<std::mutex> lock(ws->mu);
-  SessionWireStats stats{ws->session->stats(), ws->counters};
-  stats.counters.merge(counters_from_session(stats.session));
+  const SessionWireStats stats{ws->session->stats(), ws->counters};
   (void)send(conn,
              {"OK", first + "\n" + session_stats_to_json(stats)});
 }

@@ -10,7 +10,7 @@
 // result-identical to a local PlanSession over the same deltas (the
 // session IS a PlanSession; pinned by tests/test_serve.cpp).
 //
-// Frame schemas (wire protocol v9; every body is text, frames are the
+// Frame schemas (wire protocol v10; every body is text, frames are the
 // length-prefixed format of src/dist/wire.hpp).  On accept the server
 // sends HELLO `{"protocol": <dist::kProtocolVersion>, "role":
 // "server"}`; a client verifies the version before its first request.
@@ -47,11 +47,12 @@
 //   CLOSE      "<id>".  Ends the session and returns its stats.
 //              -> OK "<id>\n" + session_stats_to_json: the batch
 //                 counters' groups, as in the batch-report footer, then
-//                 "session": {"replans": r, "deltas": d, ...}
+//                 "session": {"replans": r, "deltas": d, "graph_builds":
+//                 g, "warm_greedy": w, "recolored": c}
 //   ASSIGN     "<shard>\n" + batch_items_to_json (any item count) —
 //              how every fleet worker is driven: `latticesched --worker`
 //              serves its coordinator socketpair through serve_fd, and
-//              `--listen` makes this process a remote worker over TCP.
+//              a `--serve` process answers it over TCP too.
 //              -> RESULT "<shard>\n" + batch_report_to_json
 //   PING       -> PONG, sent at once by the connection's reader thread,
 //              even while a request plans (liveness; not counted by the
@@ -99,9 +100,8 @@ namespace latticesched::serve {
 /// for a lone client, approximate (attribution may smear between
 /// sessions, totals stay exact) when sessions plan concurrently.
 struct SessionWireStats {
-  /// The CLOSE body carries each value once: the region fields travel
-  /// in `counters`, so a parsed value leaves session.{regions,
-  /// seam_sensors, stitch_recolored} at 0.
+  /// A parsed value leaves the fields the CLOSE body does not carry
+  /// (graph_patches, seam_sensors) at 0.
   PlanSession::Stats session;
   Counters counters;
 };

@@ -58,11 +58,6 @@ const KnobSpace& KnobSpace::global() {
        "starting temperature of the geometric cooling schedule"},
       {"mobile", "node_limit", 20'000'000.0, 10'000.0, 80'000'000.0, 4.0,
        true, "torus-search placement budget of the underlying tiling"},
-      // Session-level knobs: declared (serialized, listed, benched) but
-      // applied by PlanSession across replans, not per plan request —
-      // the tuner holds them at their defaults during a search.
-      {"", "threads", 0.0, 0.0, 64.0, 2.0, true,
-       "shared pool width (0 = hardware concurrency)"},
   });
   return space;
 }
@@ -143,9 +138,9 @@ void apply_config(const TunedConfig& config, PlanRequest* request) {
     } else if (knob == "sa_initial_temperature") {
       request->sa.initial_temperature = value;
     }
-    // Unknown or session-level knobs fall through untouched: a cache
-    // entry written by a future version with more knobs still applies
-    // the ones this version understands.
+    // Unknown knobs fall through untouched: a cache entry written by a
+    // future version with more knobs still applies the ones this
+    // version understands.
   }
 }
 

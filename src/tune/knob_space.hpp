@@ -1,8 +1,7 @@
 // Declarative knob space of the auto-tuning subsystem.
 //
 // The planner's configuration surface — backend choice × torus search
-// budget × annealing schedule × the session-level pool width — is a
-// product of per-backend subspaces.
+// budget × annealing schedule — is a product of per-backend subspaces.
 // KnobSpace is the one registry describing that product: every tunable
 // knob with its owning backend, default, range and hill-climb stride,
 // so the tuner (tune/tuner.hpp), the driver's `--list-backends` output
@@ -26,9 +25,7 @@ namespace tune {
 
 /// One tunable knob of a backend's subspace.
 struct KnobSpec {
-  /// Backend that consumes the knob ("" = session-level: declared and
-  /// serialized, but applied by PlanSession rather than per-request —
-  /// the tuner holds these at their defaults during a search).
+  /// Backend that consumes the knob.
   std::string backend;
   std::string name;
   double def = 0.0;
@@ -49,8 +46,7 @@ class KnobSpace {
   explicit KnobSpace(std::vector<KnobSpec> knobs)
       : knobs_(std::move(knobs)) {}
 
-  /// All knobs, grouped by backend in backend-registration order
-  /// (session-level knobs last).
+  /// All knobs, grouped by backend in backend-registration order.
   const std::vector<KnobSpec>& knobs() const { return knobs_; }
 
   /// The subspace a single backend contributes (possibly empty — the
@@ -101,9 +97,8 @@ struct TunedConfig {
 TunedConfig default_config(const std::string& backend);
 
 /// Applies `config`'s knob values onto the request fields the delegate
-/// backend reads (search/sa).  Session-level knobs ("" backend) and
-/// unknown ones, such as the retired `regions` an older tune-cache entry
-/// may carry, are skipped.
+/// backend reads (search/sa).  Unknown knobs, such as the retired
+/// `regions` an older tune-cache entry may carry, are skipped.
 void apply_config(const TunedConfig& config, PlanRequest* request);
 
 /// Deterministic hill-climb neighborhood: each knob nudged one stride in

@@ -168,11 +168,6 @@ TuneCache::Stats TuneCache::stats() const {
   return s;
 }
 
-void TuneCache::reset_stats() {
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_ = Stats{};
-}
-
 void TuneCache::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   families_.clear();

@@ -104,7 +104,6 @@ class TuneCache {
   const std::string& persist_dir() const { return persist_dir_; }
 
   Stats stats() const;
-  void reset_stats();
 
   /// Drops every resident family (stats untouched, disk untouched).
   void clear();

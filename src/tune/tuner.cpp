@@ -204,7 +204,6 @@ TuneOutcome Tuner::search(const PlanRequest& request,
     trial.tiling_cache = nullptr;
     trial.tune_cache = nullptr;
     trial.warm = nullptr;
-    trial.region_stats = nullptr;
     TorusSearchStats search_stats;
     trial.search.stats = &search_stats;
     trial.search.use_parallel = false;

@@ -10,26 +10,41 @@ namespace latticesched {
 
 namespace {
 
+/// Decodes the RFC 8259 short escapes and the \u0000-\u007f escapes
+/// json_escape writes; any other escape throws std::invalid_argument.
 std::string json_unescape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
   for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\' || i + 1 >= s.size()) {
+    if (s[i] != '\\') {
       out += s[i];
       continue;
     }
-    ++i;
+    if (++i == s.size()) throw std::invalid_argument("JSON: dangling escape");
     switch (s[i]) {
+      case '"': out += '"'; break;
+      case '\\': out += '\\'; break;
+      case '/': out += '/'; break;
+      case 'b': out += '\b'; break;
+      case 'f': out += '\f'; break;
       case 'n': out += '\n'; break;
+      case 'r': out += '\r'; break;
       case 't': out += '\t'; break;
-      case 'u':
-        if (i + 4 < s.size()) {
-          out += static_cast<char>(
-              std::strtol(s.substr(i + 1, 4).c_str(), nullptr, 16));
-          i += 4;
+      case 'u': {
+        const std::string hex = s.substr(i + 1, 4);
+        const bool digits = hex.size() == 4 &&
+                            hex.find_first_not_of("0123456789abcdefABCDEF") ==
+                                std::string::npos;
+        const unsigned long code = digits ? std::stoul(hex, nullptr, 16) : 0x80;
+        if (code > 0x7f) {
+          throw std::invalid_argument("JSON: unsupported escape \\u" + hex);
         }
+        out += static_cast<char>(code);
+        i += 4;
         break;
-      default: out += s[i];
+      }
+      default:
+        throw std::invalid_argument(std::string("JSON: bad escape \\") + s[i]);
     }
   }
   return out;

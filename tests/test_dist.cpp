@@ -212,7 +212,6 @@ TEST(Wire, BatchItemsJsonRoundTripsExactly) {
   a.search.max_period_cells = 123;
   a.search.node_limit = 456789;
   a.search.require_all_prototiles = true;
-  a.search.use_dense_engine = false;
   a.search.use_parallel = false;
   a.sa.max_iters = 31337;
   a.sa.initial_temperature = 1.75;
@@ -238,7 +237,6 @@ TEST(Wire, BatchItemsJsonRoundTripsExactly) {
   EXPECT_EQ(parsed[0].search.max_period_cells, 123);
   EXPECT_EQ(parsed[0].search.node_limit, 456789u);
   EXPECT_TRUE(parsed[0].search.require_all_prototiles);
-  EXPECT_FALSE(parsed[0].search.use_dense_engine);
   EXPECT_FALSE(parsed[0].search.use_parallel);
   EXPECT_EQ(parsed[0].sa.max_iters, 31337u);
   EXPECT_EQ(parsed[0].sa.initial_temperature, 1.75);

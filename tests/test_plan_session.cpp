@@ -270,11 +270,11 @@ TEST(PlanSession, WarmGreedyStaysExactOverLongDeltaChains) {
   EXPECT_EQ(session.stats().warm_greedy, 8u);
 }
 
-// `auto` hands its delegate its request, region stats included.  With a
-// tune-cache winner naming `region-greedy`, a replan of {auto,
-// region-greedy} runs two region-greedy plans in one fan-out; each
-// backend counts into its own slot, so the session's counts do not
-// depend on the pool width (and the TSan job sees no shared counter).
+// `auto` hands its delegate its request.  With a tune-cache winner
+// naming `region-greedy`, a replan of {auto, region-greedy} runs two
+// greedy plans in one fan-out over one shared request; no backend writes
+// a counter, so the session's stats do not depend on the pool width (and
+// the TSan job sees no shared write).
 TEST(PlanSession, RegionCountsOfAutoAndRegionGreedyDoNotDependOnThreads) {
   // Winners for the grid before and after the delta below.
   PointVec cells = Box::cube(2, 0, 5).points();
@@ -311,15 +311,15 @@ TEST(PlanSession, RegionCountsOfAutoAndRegionGreedyDoNotDependOnThreads) {
     return session.stats();
   };
   const PlanSession::Stats serial = stats_at(1);
-  // The delegate's cold plan and region-greedy's own.
-  EXPECT_EQ(serial.regions, 2u);
-  EXPECT_EQ(serial.regions_replanned, 2u);
+  EXPECT_EQ(serial.replans, 2u);
+  EXPECT_EQ(serial.warm_greedy, 1u);
   EXPECT_GT(serial.stitch_recolored, 0u);
   for (int round = 0; round < 4; ++round) {
     const PlanSession::Stats wide = stats_at(4);
-    EXPECT_EQ(wide.regions, serial.regions);
-    EXPECT_EQ(wide.regions_replanned, serial.regions_replanned);
-    EXPECT_EQ(wide.seam_sensors, serial.seam_sensors);
+    EXPECT_EQ(wide.replans, serial.replans);
+    EXPECT_EQ(wide.deltas, serial.deltas);
+    EXPECT_EQ(wide.graph_builds, serial.graph_builds);
+    EXPECT_EQ(wide.warm_greedy, serial.warm_greedy);
     EXPECT_EQ(wide.stitch_recolored, serial.stitch_recolored);
   }
 }

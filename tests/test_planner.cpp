@@ -135,7 +135,7 @@ TEST(Planner, SharedConflictGraphMatchesPerBackendBuild) {
 }
 
 TEST(Planner, GreedyRowsNameTheirSourceAndSlotCount) {
-  // One engine serves both names; each keeps its own row text.
+  // One planner serves both names, with the same row text.
   const Deployment d =
       Deployment::grid(Box::cube(2, 0, 5), shapes::chebyshev_ball(2, 1));
   PlanRequest request;
@@ -143,10 +143,11 @@ TEST(Planner, GreedyRowsNameTheirSourceAndSlotCount) {
   const std::vector<PlanResult> results =
       PlannerRegistry::global().plan_all(request, {"greedy", "region-greedy"});
   ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].slots.source, "coloring-greedy");
-  EXPECT_EQ(results[0].detail, "conflict-graph coloring (greedy), 9 slots");
-  EXPECT_EQ(results[1].slots.source, "region-greedy");
-  EXPECT_EQ(results[1].detail, "region-sharded greedy (1 region(s), 9 slots)");
+  for (const PlanResult& result : results) {
+    EXPECT_EQ(result.slots.source, "coloring-greedy") << result.backend;
+    EXPECT_EQ(result.detail, "conflict-graph coloring (greedy), 9 slots")
+        << result.backend;
+  }
   EXPECT_EQ(results[0].slots.slot, results[1].slots.slot);
 }
 

@@ -1,4 +1,5 @@
-// `region-greedy` tests: the streamed greedy table and its counters.
+// The streamed greedy table behind `greedy` and its second name
+// `region-greedy`, and the session's repair count.
 //
 // The load-bearing pin is EXACTNESS: plan_greedy and every warm replan
 // must return exactly greedy_coloring(build_conflict_graph(d)) — the
@@ -146,10 +147,9 @@ TEST(RegionShard, WarmRegionReplanRecolorsOnlyChangedSlots) {
   PlanSession session(grid_deployment(16), config);
   const Coloring cold = session.replan()[0].slots.slot;
   const PlanSession::Stats after_cold = session.stats();
-  EXPECT_EQ(after_cold.regions, 1u);
-  EXPECT_EQ(after_cold.regions_replanned, 1u);  // the one cold plan
+  EXPECT_EQ(after_cold.stitch_recolored, 0u);  // a cold plan repairs nothing
 
-  // One sensor dies.  The warm replan plans no region: apply()'s repair
+  // One sensor dies.  The warm replan plans nothing: apply()'s repair
   // fixes the carried table, so it recolors exactly the sensors whose
   // slot differs from that table.
   const std::size_t victim = *session.deployment().sensor_at(Point{1, 1});
@@ -158,7 +158,6 @@ TEST(RegionShard, WarmRegionReplanRecolorsOnlyChangedSlots) {
   session.apply(delta);
   const Coloring warm = session.replan()[0].slots.slot;
   const PlanSession::Stats after_delta = session.stats();
-  EXPECT_EQ(after_delta.regions_replanned, after_cold.regions_replanned);
 
   Coloring carried = cold;
   carried.erase(carried.begin() + static_cast<std::ptrdiff_t>(victim));
@@ -185,39 +184,46 @@ std::uint64_t slots_changed(Coloring before, std::size_t removed,
 }
 
 TEST(RegionShard, WarmRecolorCountSumsTheRepairsSinceTheLastReplan) {
-  SessionConfig config;
-  config.backends = {"region-greedy"};
-  PlanSession session(grid_deployment(16), config);
-  (void)session.replan();
-  const auto remove = [&](const Point& p) {
-    const std::size_t victim = *session.deployment().sensor_at(p);
-    DeploymentDelta delta;
-    delta.remove_sensors = {p};
-    session.apply(delta);
-    return victim;
-  };
+  // apply() counts each repair's changed slots, whichever greedy name
+  // the session plans with.
+  for (const char* backend : {"greedy", "region-greedy"}) {
+    SCOPED_TRACE(backend);
+    SessionConfig config;
+    config.backends = {backend};
+    PlanSession session(grid_deployment(16), config);
+    const auto remove = [&](const Point& p) {
+      const std::size_t victim = *session.deployment().sensor_at(p);
+      DeploymentDelta delta;
+      delta.remove_sensors = {p};
+      session.apply(delta);
+      return victim;
+    };
 
-  // One delta per replan: each replan reports its own delta's repair.
-  (void)remove(Point{1, 1});
-  const Coloring first = session.replan()[0].slots.slot;
-  const std::uint64_t recolored_first = session.stats().stitch_recolored;
-  const std::size_t second_victim = remove(Point{9, 12});
-  const Coloring second = session.replan()[0].slots.slot;
-  const std::uint64_t second_changed =
-      slots_changed(first, second_victim, second);
-  EXPECT_GT(second_changed, 0u);
-  EXPECT_EQ(session.stats().stitch_recolored - recolored_first,
-            second_changed);
+    // One delta per replan: the count grows by that delta's repair.
+    const Coloring cold = session.replan()[0].slots.slot;
+    const std::size_t first_victim = remove(Point{1, 1});
+    const Coloring first = session.replan()[0].slots.slot;
+    EXPECT_EQ(session.stats().stitch_recolored,
+              slots_changed(cold, first_victim, first));
+    const std::uint64_t recolored_first = session.stats().stitch_recolored;
+    const std::size_t second_victim = remove(Point{9, 12});
+    const Coloring second = session.replan()[0].slots.slot;
+    const std::uint64_t second_changed =
+        slots_changed(first, second_victim, second);
+    EXPECT_GT(second_changed, 0u);
+    EXPECT_EQ(session.stats().stitch_recolored - recolored_first,
+              second_changed);
 
-  // Two deltas, then one replan: the report is the sum of both repairs.
-  const std::uint64_t recolored_second = session.stats().stitch_recolored;
-  const std::size_t third_victim = remove(Point{4, 7});
-  const Coloring third = serial_greedy(session.deployment());
-  const std::size_t fourth_victim = remove(Point{5, 7});
-  const Coloring fourth = session.replan()[0].slots.slot;
-  EXPECT_EQ(session.stats().stitch_recolored - recolored_second,
-            slots_changed(second, third_victim, third) +
-                slots_changed(third, fourth_victim, fourth));
+    // Two deltas, then one replan: the count grows by both repairs.
+    const std::uint64_t recolored_second = session.stats().stitch_recolored;
+    const std::size_t third_victim = remove(Point{4, 7});
+    const Coloring third = serial_greedy(session.deployment());
+    const std::size_t fourth_victim = remove(Point{5, 7});
+    const Coloring fourth = session.replan()[0].slots.slot;
+    EXPECT_EQ(session.stats().stitch_recolored - recolored_second,
+              slots_changed(second, third_victim, third) +
+                  slots_changed(third, fourth_victim, fourth));
+  }
 }
 
 TEST(RegionShard, RandomChurnKeepsWarmAndColdIdentical) {
@@ -245,7 +251,6 @@ TEST(RegionShard, RandomChurnKeepsWarmAndColdIdentical) {
       PlanSession session(initial != nullptr ? *initial : grid_deployment(12),
                           config);
       (void)session.replan();
-      const std::uint64_t cold_shards = session.stats().regions_replanned;
       std::int64_t spare_row = initial != nullptr ? 16 : 12;
       const auto random_position = [&] {
         return session.deployment().position(
@@ -286,9 +291,60 @@ TEST(RegionShard, RandomChurnKeepsWarmAndColdIdentical) {
       }
       EXPECT_EQ(session.stats().graph_builds, 0u) << what;
       EXPECT_EQ(session.stats().warm_greedy, 8u) << what;
-      EXPECT_EQ(session.stats().regions_replanned, cold_shards) << what;
     }
   }
+}
+
+/// The report row of `r` under the name `backend`, wall time zeroed.
+std::string row_named(PlanResult r, const std::string& backend,
+                      const std::string& label, std::uint64_t step) {
+  r.backend = backend;
+  r.wall_seconds = 0.0;
+  return plan_results_to_json({r}, label, step);
+}
+
+TEST(RegionShard, RegionGreedyRowsEqualGreedyRowsExceptBackend) {
+  // `region-greedy` is `greedy`'s second name: on every registry
+  // scenario, step by step for the dynamic ones, its report row differs
+  // from greedy's only in the backend column.
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    ScenarioParams params;
+    params.seed = seed;
+    PlanService service;
+    const BatchReport report = service.run(
+        service.registry_batch(params, {"greedy", "region-greedy"}));
+    for (const BatchItemReport& item : report.items) {
+      ASSERT_TRUE(item.built) << item.scenario << ": " << item.error;
+      std::vector<BatchStepReport> steps = item.steps;
+      if (steps.empty()) {
+        steps.push_back(BatchStepReport{0, item.sensors, item.results});
+      }
+      for (const BatchStepReport& step : steps) {
+        ASSERT_EQ(step.results.size(), 2u);
+        EXPECT_EQ(step.results[1].backend, "region-greedy");
+        EXPECT_EQ(row_named(step.results[1], "greedy", item.label, step.step),
+                  row_named(step.results[0], "greedy", item.label, step.step))
+            << "seed " << seed << " step " << step.step;
+      }
+    }
+  }
+}
+
+TEST(RegionShard, DefaultSetLeavesRegionGreedyOut) {
+  const Deployment d = grid_deployment(6);
+  PlanRequest request;
+  request.deployment = &d;
+  const std::vector<PlanResult> results =
+      PlannerRegistry::global().plan_all(request);
+  const auto planned = [&](const std::string& name) {
+    return std::any_of(
+        results.begin(), results.end(),
+        [&](const PlanResult& r) { return r.backend == name; });
+  };
+  EXPECT_TRUE(planned("greedy"));
+  EXPECT_FALSE(planned("region-greedy"));
+  EXPECT_FALSE(
+      PlannerRegistry::global().find("region-greedy")->in_default_set());
 }
 
 TEST(RegionShard, GridLargeScenarioGeneratesLinearly) {
@@ -332,37 +388,6 @@ TEST(RegionShard, PeakRssProbeReportsCurrentUsage) {
 #else
   SUCCEED();
 #endif
-}
-
-TEST(RegionShard, ReportFooterRoundTripsRegionCounters) {
-  BatchReport report;
-  report.items.resize(1);
-  report.items[0].scenario = "grid";
-  report.items[0].label = "grid(n=4 r=1)";
-  report.items[0].built = true;
-  report.counters.regions = 16;
-  report.counters.seam_sensors = 1234;
-  report.counters.stitch_recolored = 56;
-  const BatchReport parsed =
-      parse_batch_report_json(batch_report_to_json(report));
-  EXPECT_EQ(parsed.counters.regions, 16u);
-  EXPECT_EQ(parsed.counters.seam_sensors, 1234u);
-  EXPECT_EQ(parsed.counters.stitch_recolored, 56u);
-}
-
-TEST(RegionShard, BatchItemsRoundTripRegionKnobs) {
-  BatchItem item;
-  item.query.scenario = "grid-large";
-  item.query.params.n = 1000000;
-  item.backends = {"region-greedy"};
-  item.regions = 64;
-  item.region_halo = 3;
-  const std::vector<BatchItem> parsed =
-      parse_batch_items_json(batch_items_to_json({item}));
-  ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_EQ(parsed[0].regions, 64u);
-  EXPECT_EQ(parsed[0].region_halo, 3);
-  EXPECT_EQ(parsed[0].query.params.n, 1000000);
 }
 
 TEST(RegionShard, ShardWeightsSaturateInsteadOfWrapping) {

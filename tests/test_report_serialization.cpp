@@ -227,9 +227,6 @@ Counters distinct_counters() {
   Counters c;
   c.cache_hits = 1;
   c.cache_misses = 2;
-  c.regions = 3;
-  c.seam_sensors = 4;
-  c.stitch_recolored = 5;
   c.tune_hits = 6;
   c.tune_misses = 7;
   c.tune_searches = 8;
@@ -268,9 +265,6 @@ TEST(Counters, EveryFieldRoundTripsThroughTheBatchFooter) {
   const std::string json = batch_report_to_json(report);
   EXPECT_NE(json.find("  \"cache\": {\"hits\": 1, \"misses\": 2},\n"),
             std::string::npos);
-  EXPECT_NE(json.find("  \"regions\": {\"count\": 3, \"seam_sensors\": 4, "
-                      "\"stitch_recolored\": 5},\n"),
-            std::string::npos);
   EXPECT_NE(json.find("  \"tuning\": {\"hits\": 6, \"misses\": 7, "
                       "\"searches\": 8, \"trials\": 9},\n"),
             std::string::npos);
@@ -278,9 +272,6 @@ TEST(Counters, EveryFieldRoundTripsThroughTheBatchFooter) {
   const Counters parsed = parse_batch_report_json(json).counters;
   EXPECT_EQ(parsed.cache_hits, 1u);
   EXPECT_EQ(parsed.cache_misses, 2u);
-  EXPECT_EQ(parsed.regions, 3u);
-  EXPECT_EQ(parsed.seam_sensors, 4u);
-  EXPECT_EQ(parsed.stitch_recolored, 5u);
   EXPECT_EQ(parsed.tune_hits, 6u);
   EXPECT_EQ(parsed.tune_misses, 7u);
   EXPECT_EQ(parsed.tune_searches, 8u);
@@ -292,34 +283,25 @@ TEST(Counters, EveryFieldRoundTripsThroughTheBatchFooter) {
   no_tuning.erase(tuning, json.find('\n', tuning) + 1 - tuning);
   EXPECT_THROW((void)parse_batch_report_json(no_tuning),
                std::invalid_argument);
-  const std::string seams = "\"seam_sensors\": 4";
+  const std::string searches = "\"searches\": 8";
   std::string negative = json;
-  negative.replace(negative.find(seams), seams.size(),
-                   "\"seam_sensors\": -4");
+  negative.replace(negative.find(searches), searches.size(),
+                   "\"searches\": -8");
   EXPECT_THROW((void)parse_batch_report_json(negative),
                std::invalid_argument);
 }
 
-TEST(Counters, MergeSumsKeepsTheLargestRegionsAndTheLastKernel) {
+TEST(Counters, MergeSumsEveryField) {
   Counters merged = distinct_counters();
-  Counters other = distinct_counters();
-  other.regions = 1;  // smaller: the max keeps 3
-  merged.merge(other);
+  merged.merge(distinct_counters());
+  for (const CounterGroup& group : kCounterGroups) {
+    for (const CounterField& f : group.fields) {
+      EXPECT_EQ(merged.*f.number, 2 * (distinct_counters().*f.number))
+          << group.key << '.' << f.key;
+    }
+  }
   EXPECT_EQ(merged.cache_hits, 2u);
-  EXPECT_EQ(merged.cache_misses, 4u);
-  EXPECT_EQ(merged.regions, 3u);
-  EXPECT_EQ(merged.seam_sensors, 8u);
-  EXPECT_EQ(merged.stitch_recolored, 10u);
-  EXPECT_EQ(merged.tune_hits, 12u);
-  EXPECT_EQ(merged.tune_misses, 14u);
-  EXPECT_EQ(merged.tune_searches, 16u);
   EXPECT_EQ(merged.tune_trials_run, 18u);
-
-  Counters later;
-  later.regions = 9;
-  merged.merge(later);
-  EXPECT_EQ(merged.regions, 9u);
-  EXPECT_EQ(merged.cache_hits, 2u);
 }
 
 TEST(Counters, PrinterWritesTheCacheLineAndEveryNonZeroGroup) {
@@ -330,8 +312,6 @@ TEST(Counters, PrinterWritesTheCacheLineAndEveryNonZeroGroup) {
             "tune-stats: 3 hit(s), 0 miss(es), 0 search(es), 0 trial(s)\n");
   EXPECT_EQ(counters_to_text(distinct_counters(), "worker 1"),
             "cache-stats: worker 1: 1 hit(s), 2 miss(es)\n"
-            "region-stats: worker 1: 3 region(s), 4 seam sensor(s), "
-            "5 stitch recolor(s)\n"
             "tune-stats: worker 1: 6 hit(s), 7 miss(es), 8 search(es), "
             "9 trial(s)\n");
 }

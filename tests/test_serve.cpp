@@ -236,24 +236,27 @@ TEST(PlanServe, CloseBodyRoundTripsSessionStatsAndCounters) {
   stats.session.replans = 1;
   stats.session.deltas = 2;
   stats.session.graph_builds = 3;
-  stats.session.graph_patches = 4;
   stats.session.warm_greedy = 5;
-  stats.session.regions_replanned = 6;
+  stats.session.stitch_recolored = 6;
   stats.counters.cache_misses = 7;
-  stats.counters.regions = 8;
   stats.counters.tune_trials_run = 9;
   const std::string body = serve::session_stats_to_json(stats);
-  // The batch-report footer's groups, then the session's own stats.
+  // The batch-report footer's groups, then the session's own stats:
+  // exactly these five, the repair count under the wire key "recolored".
   EXPECT_NE(body.find("  \"cache\": {\"hits\": 0, \"misses\": 7},\n"),
             std::string::npos);
+  EXPECT_NE(body.find("  \"session\": {\"replans\": 1, \"deltas\": 2, "
+                      "\"graph_builds\": 3, \"warm_greedy\": 5, "
+                      "\"recolored\": 6}\n"),
+            std::string::npos)
+      << body;
   const serve::SessionWireStats parsed =
       serve::session_stats_from_json(body);
   EXPECT_EQ(parsed.session.replans, 1u);
   EXPECT_EQ(parsed.session.deltas, 2u);
   EXPECT_EQ(parsed.session.graph_builds, 3u);
-  EXPECT_EQ(parsed.session.graph_patches, 4u);
   EXPECT_EQ(parsed.session.warm_greedy, 5u);
-  EXPECT_EQ(parsed.session.regions_replanned, 6u);
+  EXPECT_EQ(parsed.session.stitch_recolored, 6u);
   EXPECT_EQ(counters_to_json(parsed.counters),
             counters_to_json(stats.counters));
   EXPECT_THROW((void)serve::session_stats_from_json("{}"),

@@ -47,7 +47,7 @@ TEST(KnobSpaceTest, RegistryCoversTunableBackends) {
   EXPECT_FALSE(space.knobs_for("tiling").empty());
   EXPECT_FALSE(space.knobs_for("annealing").empty());
   EXPECT_TRUE(space.knobs_for("region-greedy").empty());
-  EXPECT_FALSE(space.knobs_for("").empty());  // session-level knobs
+  EXPECT_TRUE(space.knobs_for("").empty());  // every knob has a backend
   EXPECT_TRUE(space.knobs_for("tdma").empty());
   EXPECT_TRUE(space.knobs_for("greedy").empty());
 

@@ -23,6 +23,7 @@
 #include "dist/wire.hpp"
 #include "serve/server.hpp"
 #include "serve/tcp.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace latticesched {
@@ -471,6 +472,48 @@ TEST(WireFuzz, BatchItemParsersRejectGarbageWithCleanErrors) {
   EXPECT_THROW((void)parse_batch_report_json(""), std::invalid_argument);
   EXPECT_THROW((void)parse_batch_report_json("{\"items\": [\n"),
                std::invalid_argument);
+}
+
+TEST(WireFuzz, JsonStringsDecodeOnlyTheEscapesJsonAllows) {
+  const auto field = [](const std::string& literal) {
+    return json_field("{\"s\": \"" + literal + "\"}", "s");
+  };
+  // The RFC 8259 short escapes.
+  EXPECT_EQ(field("a\\\"b\\\\c\\/d"), "a\"b\\c/d");
+  EXPECT_EQ(field("\\b\\f\\n\\r\\t"), "\b\f\n\r\t");
+  // \u0000-\u007f, json_escape's form for control characters.
+  EXPECT_EQ(field("\\u0041\\u007F\\u001f"), "A\x7f\x1f");
+  EXPECT_EQ(field("\\u0000"), std::string(1, '\0'));
+  EXPECT_EQ(field(json_escape("x\x01\ry\t\"\\")), "x\x01\ry\t\"\\");
+  // Anything else is an error, not a guess.
+  for (const char* bad :
+       {"\\u2603", "\\u0080", "\\u12", "\\u12\\u", "\\uzzzz", "\\u+7f0",
+        "\\u0x7f", "\\q", "\\x41", "\\U0041"}) {
+    EXPECT_THROW((void)field(bad), std::invalid_argument) << bad;
+  }
+
+  // A peer's OPEN carrying a bad escape is answered with ERROR, and the
+  // connection keeps serving.
+  ServeFixture fx;
+  const int fd = fx.connect();
+  ASSERT_GE(fd, 0);
+  fx.handshake(fd);
+  std::string items = batch_items_to_json({BatchItem{}});
+  const std::string script = "\"trace_script\": \"";
+  items.insert(items.find(script) + script.size(), "\\q");
+  ASSERT_EQ(dist::write_frame_deadline(fd, {"OPEN", "tok\n" + items}, 2000),
+            dist::WireIoStatus::kOk);
+  WireMessage reply;
+  ASSERT_EQ(dist::read_frame_deadline(fd, &reply, 10000),
+            dist::WireIoStatus::kOk);
+  EXPECT_EQ(reply.verb, "ERROR");
+  EXPECT_NE(reply.body.find("escape"), std::string::npos) << reply.body;
+  ASSERT_EQ(dist::write_frame_deadline(fd, {"PING", ""}, 2000),
+            dist::WireIoStatus::kOk);
+  ASSERT_EQ(dist::read_frame_deadline(fd, &reply, 5000),
+            dist::WireIoStatus::kOk);
+  EXPECT_EQ(reply.verb, "PONG");
+  ::close(fd);
 }
 
 }  // namespace
